@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing, nullcontext
 from math import comb
 
 from . import kernel
@@ -44,12 +47,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=int, default=64, help="working 2-adic precision in bits")
+    common.add_argument("--precision", type=_int_at_least(1), default=64,
+                        help="working 2-adic precision in bits")
     common.add_argument("--format", choices=("json", "csv", "text"), default=None)
     common.add_argument("--out", default=None, help="write records here instead of stdout")
-    common.add_argument("--jobs", type=int, default=1, help="scan worker processes")
+    common.add_argument("--jobs", type=_int_at_least(1), default=1,
+                        help="scan worker processes, at most one per cell and per CPU")
     common.add_argument("--seed", type=int, default=0, help="seed for verification sampling")
     return common
 
@@ -69,13 +85,17 @@ def _parse_map(text: str) -> GeneralizedMap:
 
 
 def _emit(lines, out_path: str | None) -> None:
-    if out_path is None:
+    """Write each item followed by a newline, as the iterable yields it.
+
+    An item may be a whole block of newline-joined lines.  `out_path` is
+    opened before the first item is drawn, so a lazy iterable does no
+    work when the path cannot be written.
+    """
+    to = nullcontext(sys.stdout) if out_path is None else open(out_path, "w", encoding="utf-8")
+    with to as fh:
         for line in lines:
-            sys.stdout.write(line + "\n")
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+            fh.write(line)
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------- ghost
@@ -127,77 +147,101 @@ def cmd_ghost(args) -> int:
 # ----------------------------------------------------------------- scan
 
 
+_BLOCK_LINES = 4096
+
+
 def _cell_worker(cell):
-    x, y, q, d, precision = cell
-    return kernel.cell_records(x, y, q, d, precision)
+    """One cell of a scan: kernel, JSONL lines and sampled orbit replays.
 
-
-def _scan_record_line(x, y, q, d, precision, admissible, modulus, rec, include_map) -> str:
-    sigma, c, n0, quo = rec
-    record = {
-        "pattern": {"x": x, "y": y, "sigma": list(sigma), "ell": x + y, "admissible": admissible},
-        "C": str(c),
-        "modulus": str(modulus),
-        "n0": {"residue": str(n0), "precision": precision},
-        "verdict": "integer-cycle" if quo is not None else "ghost",
-    }
-    if quo is not None:
-        record["integer_value"] = str(quo)
-    if include_map:
-        record["q"] = q
-        record["d"] = d
-    return json.dumps(record, separators=(",", ":"))
+    Returns the cell's records as blocks of newline-joined lines, the
+    number of admissible patterns in it, and its integral hits.  Every
+    field is an int or a digit string, so the fixed template writes the
+    bytes of json.dumps(ghost_record(...), separators=(",", ":")) with
+    nothing to escape.  `verify` holds cell-local record indices whose
+    orbits are replayed by dynamics.
+    """
+    x, y, q, d, precision, include_map, verify = cell
+    recs = kernel.cell_records(x, y, q, d, precision)
+    depth = max(precision, x + 2)
+    gmap = GeneralizedMap(q, d)
+    for i in verify:
+        p = ParityPattern(x, y, recs[i][0])
+        if (q, d) == COLLATZ_QD:
+            iterate_cycle(p, depth)  # DynamicsViolation escapes as exit 2
+        else:
+            general_iterate_cycle(gmap, p, depth)
+    admissible = (1 << x) > q**y if d > 0 else (1 << x) < q**y
+    head = f'{{"pattern":{{"x":{x},"y":{y},"sigma":['
+    mid = f'],"ell":{x + y},"admissible":{"true" if admissible else "false"}}},"C":"'
+    n0_at = f'","modulus":"{(1 << x) - q**y}","n0":{{"residue":"'
+    verdict = f'","precision":{precision}}},"verdict":'
+    tail = f',"q":{q},"d":{d}}}' if include_map else "}"
+    ghost = f'{verdict}"ghost"{tail}'
+    integer = f'{verdict}"integer-cycle","integer_value":"'
+    decimal = [str(i) for i in range(x)].__getitem__  # sigma entries are below x
+    lines = []
+    hits = []
+    for sigma, c, n0, quo in recs:
+        s = ",".join(map(decimal, sigma))
+        if quo is None:
+            lines.append(f"{head}{s}{mid}{c}{n0_at}{n0}{ghost}")
+        else:
+            lines.append(f'{head}{s}{mid}{c}{n0_at}{n0}{integer}{quo}"{tail}')
+            hits.append((x, y, sigma, quo, admissible))
+    del recs  # serialized; free them before the blocks are joined
+    # bounded blocks: the parent encodes one block at a time as it writes,
+    # never a copy of a whole cell
+    blocks = ["\n".join(lines[i:i + _BLOCK_LINES]) for i in range(0, len(lines), _BLOCK_LINES)]
+    return blocks, len(lines) if admissible else 0, hits
 
 
 def cmd_scan(args) -> int:
+    if args.format not in (None, "json"):
+        raise ValueError(f"scan writes JSON Lines only; --format {args.format} is not supported")
     qd = getattr(args, "map", None)
     include_map = qd is not None and (qd.q, qd.d) != COLLATZ_QD
     q, d = (qd.q, qd.d) if qd is not None else COLLATZ_QD
     precision = args.precision
     started = time.perf_counter()
 
-    cells = [(x, y, q, d, precision) for _, y, x in length_cells(args.ell_max)]
-    total = sum(comb(x - 1, y - 1) for x, y, _q, _d, _p in cells)
+    shapes = [(x, y) for _, y, x in length_cells(args.ell_max)]
+    sizes = [comb(x - 1, y - 1) for x, y in shapes]
+    total = sum(sizes)
     sample_size = min(args.verify_sample, total)
-    sampled = set(random.Random(args.seed).sample(range(total), sample_size))
+    sampled = sorted(random.Random(args.seed).sample(range(total), sample_size))
+    # each cell replays the sampled scan indices that fall inside it
+    cells = []
+    offset = lo = 0
+    for (x, y), size in zip(shapes, sizes):
+        hi = bisect_left(sampled, offset + size, lo)
+        local = tuple(i - offset for i in sampled[lo:hi])
+        cells.append((x, y, q, d, precision, include_map, local))
+        offset, lo = offset + size, hi
+    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
 
-    if args.jobs > 1:
-        pool = ProcessPoolExecutor(max_workers=args.jobs)
-        results = pool.map(_cell_worker, cells, chunksize=8)
-    else:
-        pool = None
-        results = map(_cell_worker, cells)
-
-    lines: list[str] = []
     integral: list[tuple[int, int, tuple[int, ...], int, bool]] = []
     admissible_count = 0
-    index = 0
-    gmap = GeneralizedMap(q, d)
-    try:
-        for (x, y, _q, _d, _p), recs in zip(cells, results):
-            admissible = (1 << x) > q**y if d > 0 else (1 << x) < q**y
-            cell_modulus = (1 << x) - q**y
-            if admissible:
-                admissible_count += len(recs)
-            for rec in recs:
-                lines.append(
-                    _scan_record_line(x, y, q, d, precision, admissible, cell_modulus, rec, include_map)
-                )
-                if rec[3] is not None:
-                    integral.append((x, y, rec[0], rec[3], admissible))
-                if index in sampled:
-                    p = ParityPattern(x, y, rec[0])
-                    depth = max(precision, x + 2)
-                    if (q, d) == COLLATZ_QD:
-                        iterate_cycle(p, depth)  # DynamicsViolation escapes as exit 2
-                    else:
-                        general_iterate_cycle(gmap, p, depth)
-                index += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
-    _emit(lines, args.out)
+    def blocks():
+        nonlocal admissible_count
+        if workers > 1:
+            pool = ProcessPoolExecutor(max_workers=workers)
+            # one cell per task keeps a worker's peak memory at one cell
+            results = pool.map(_cell_worker, cells, chunksize=1)
+        else:
+            pool = None
+            results = map(_cell_worker, cells)
+        try:
+            for cell_blocks, admissible, hits in results:
+                admissible_count += admissible
+                integral.extend(hits)
+                yield from cell_blocks
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+
+    with closing(blocks()) as stream:
+        _emit(stream, args.out)
     elapsed = time.perf_counter() - started
 
     summary_to = sys.stdout if args.out else sys.stderr
@@ -330,7 +374,7 @@ def build_parser() -> _Parser:
     p_scan = sub.add_parser("scan", parents=[common], help="exhaustive scan up to a length bound")
     p_scan.add_argument("--ell-max", type=int, required=True)
     p_scan.add_argument("--map", type=_parse_map, default=None, help="q,d for a qn+d map")
-    p_scan.add_argument("--verify-sample", type=int, default=8,
+    p_scan.add_argument("--verify-sample", type=_int_at_least(0), default=8,
                         help="dynamics-verify this many randomly chosen patterns")
     p_scan.set_defaults(func=cmd_scan)
 
@@ -360,7 +404,7 @@ def build_parser() -> _Parser:
     p_gen.add_argument("--x", type=int, default=None)
     p_gen.add_argument("--y", type=int, default=None)
     p_gen.add_argument("--sigma", default=None)
-    p_gen.add_argument("--verify-sample", type=int, default=8)
+    p_gen.add_argument("--verify-sample", type=_int_at_least(0), default=8)
     p_gen.set_defaults(func=cmd_general)
 
     return parser

@@ -46,6 +46,11 @@ class DynamicsViolation(RuntimeError):
             f"{kind} violation at odd step {step}: expected {expected}, observed {observed}"
         )
 
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments, so that a violation
+        # raised in a scan worker process reaches the parent intact
+        return type(self), (self.step, self.expected, self.observed, self.kind)
+
 
 @dataclass(frozen=True, slots=True)
 class CycleTrace:

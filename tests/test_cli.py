@@ -2,14 +2,19 @@
 counts, and agreement with the library routes."""
 
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
 import pytest
 
+from ghostcycles import cli, kernel
 from ghostcycles.cli import main
 from ghostcycles.cycle import ghost_cycle
-from ghostcycles.patterns import ParityPattern
+from ghostcycles.dynamics import DynamicsViolation
+from ghostcycles.generalized import GeneralizedMap, general_ghost_cycle
+from ghostcycles.patterns import ParityPattern, enumerate_by_length
 from ghostcycles.records import ghost_record
 
 
@@ -136,6 +141,94 @@ def test_scan_records_equal_library_records(capsys, tmp_path):
         rec = json.loads(line)
         p = ParityPattern(rec["pattern"]["x"], rec["pattern"]["y"], tuple(rec["pattern"]["sigma"]))
         assert rec == ghost_record(ghost_cycle(p, 64))
+
+
+@pytest.mark.parametrize("argv", [[], ["--map", "5,1"], ["--map", "3,-1"]],
+                         ids=["3n+1", "5n+1", "3n-1"])
+def test_scan_template_is_json_dumps_of_the_library_record(argv, capsys, tmp_path,
+                                                           monkeypatch):
+    # the expected stream is built from the cycle modules, not the kernel
+    m = GeneralizedMap(*map(int, argv[1].split(","))) if argv else None
+    expected = []
+    for p, _adm in enumerate_by_length(16):
+        if m is not None:
+            rec = ghost_record(general_ghost_cycle(m, p, 64), m.q, m.d)
+        else:
+            rec = ghost_record(ghost_cycle(p, 64))
+        expected.append(json.dumps(rec, separators=(",", ":")) + "\n")
+    expected = "".join(expected).encode()
+    base = ["scan", "--ell-max", "16", *argv]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # --jobs 2 runs a pool on any host
+    one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
+    assert run([*base, "--jobs", "1", "--out", str(one)], capsys)[0] == 0
+    assert run([*base, "--jobs", "2", "--out", str(two)], capsys)[0] == 0
+    code, out, _ = run(base, capsys)
+    assert code == 0
+    assert one.read_bytes() == expected
+    assert two.read_bytes() == expected
+    assert out.encode() == expected
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--precision", "0"], "argument --precision: must be >= 1, got 0"),
+        (["--jobs", "0"], "argument --jobs: must be >= 1, got 0"),
+        (["--verify-sample", "-1"], "argument --verify-sample: must be >= 0, got -1"),
+        (["--format", "csv"], "--format csv is not supported"),
+        (["--format", "text"], "--format text is not supported"),
+    ],
+    ids=["precision-0", "jobs-0", "verify-sample-negative", "format-csv", "format-text"],
+)
+def test_scan_rejects_inputs_outside_its_contract_before_any_work(flags, message, capsys,
+                                                                  tmp_path, monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran on a rejected scan")
+
+    monkeypatch.setattr(kernel, "cell_records", no_kernel)
+    out_path = tmp_path / "scan.jsonl"
+    code, _, err = run(["scan", "--ell-max", "6", *flags, "--out", str(out_path)], capsys)
+    assert code == 1
+    assert message in err
+    assert not out_path.exists()
+
+
+def test_unwritable_scan_out_fails_before_the_kernel_runs(capsys, monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran before --out was opened")
+
+    monkeypatch.setattr(kernel, "cell_records", no_kernel)
+    code, _, err = run(["scan", "--ell-max", "12", "--out", "/nonexistent/dir/f"], capsys)
+    assert code == 3
+    assert "i/o error" in err
+
+
+def test_scan_workers_are_clamped_to_cells_and_cpus(capsys, monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
+    # one cell: no pool whatever --jobs says
+    assert run(["scan", "--ell-max", "2", "--jobs", "4"], capsys)[0] == 0
+    # one CPU: no pool either
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert run(["scan", "--ell-max", "10", "--jobs", "4"], capsys)[0] == 0
+
+
+def _violation_with_this_pid(*args):
+    raise DynamicsViolation(0, 1, os.getpid())
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers inherit the patched dynamics only when forked")
+def test_dynamics_violation_in_a_pool_worker_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "iterate_cycle", _violation_with_this_pid)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, _, err = run(["scan", "--ell-max", "12", "--jobs", "2", "--verify-sample", "50"], capsys)
+    assert code == 2
+    assert "dynamics violation: valuation violation at odd step 0: expected 1, observed " in err
+    assert f"observed {os.getpid()}" not in err  # raised in a worker, not in this process
 
 
 def test_general_single_pattern(capsys):
