@@ -65,7 +65,7 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv", "text"), default=None)
     common.add_argument("--out", default=None, help="write records here instead of stdout")
     common.add_argument("--jobs", type=_int_at_least(1), default=1,
-                        help="scan worker processes, at most one per cell and per CPU")
+                        help="scan worker processes, at most one per cell and CPUs - 1 in all")
     common.add_argument("--seed", type=int, default=0, help="seed for verification sampling")
     return common
 
@@ -217,7 +217,12 @@ def cmd_scan(args) -> int:
         local = tuple(i - offset for i in sampled[lo:hi])
         cells.append((x, y, q, d, precision, include_map, local))
         offset, lo = offset + size, hi
-    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+    # The parent receives and writes every byte the workers produce, so it
+    # keeps a CPU of its own.  With as many workers as CPUs, workers and
+    # parent oversubscribe them and the scan's speed swings with whatever
+    # else the host runs; one worker would only add the copy to the parent,
+    # so below two workers the scan runs in this process.
+    workers = min(args.jobs, len(cells), (os.cpu_count() or 1) - 1)
 
     integral: list[tuple[int, int, tuple[int, ...], int, bool]] = []
     admissible_count = 0

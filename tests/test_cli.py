@@ -158,7 +158,7 @@ def test_scan_template_is_json_dumps_of_the_library_record(argv, capsys, tmp_pat
         expected.append(json.dumps(rec, separators=(",", ":")) + "\n")
     expected = "".join(expected).encode()
     base = ["scan", "--ell-max", "16", *argv]
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # --jobs 2 runs a pool on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # --jobs 2 runs a pool on any host
     one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
     assert run([*base, "--jobs", "1", "--out", str(one)], capsys)[0] == 0
     assert run([*base, "--jobs", "2", "--out", str(two)], capsys)[0] == 0
@@ -211,6 +211,9 @@ def test_scan_workers_are_clamped_to_cells_and_cpus(capsys, monkeypatch):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
     # one cell: no pool whatever --jobs says
     assert run(["scan", "--ell-max", "2", "--jobs", "4"], capsys)[0] == 0
+    # two CPUs: one is the parent's, and one worker runs in-process
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert run(["scan", "--ell-max", "10", "--jobs", "4"], capsys)[0] == 0
     # one CPU: no pool either
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert run(["scan", "--ell-max", "10", "--jobs", "4"], capsys)[0] == 0
@@ -224,7 +227,7 @@ def _violation_with_this_pid(*args):
                     reason="pool workers inherit the patched dynamics only when forked")
 def test_dynamics_violation_in_a_pool_worker_exits_two(capsys, monkeypatch):
     monkeypatch.setattr(cli, "iterate_cycle", _violation_with_this_pid)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     code, _, err = run(["scan", "--ell-max", "12", "--jobs", "2", "--verify-sample", "50"], capsys)
     assert code == 2
     assert "dynamics violation: valuation violation at odd step 0: expected 1, observed " in err
