@@ -25,8 +25,9 @@ from math import comb
 
 from . import kernel
 from .cycle import ghost_cycle
-from .dynamics import DynamicsViolation, iterate_cycle
+from .dynamics import DynamicsViolation, iterate_cycle, replay_record
 from .generalized import GeneralizedMap, general_ghost_cycle, general_iterate_cycle
+from .padic import _inverse_mod_pow2
 from .patterns import ParityPattern, PatternError, length_cells
 from .records import ghost_record, trace_record
 from .semilinear import (
@@ -84,6 +85,13 @@ def _parse_map(text: str) -> GeneralizedMap:
     return GeneralizedMap(int(parts[0]), int(parts[1]))
 
 
+def _check_format(args, written: tuple[str, ...], command: str) -> None:
+    """Reject, before any work, a --format that the command does not write."""
+    if args.format not in (None, *written):
+        raise ValueError(f"{command} writes {' or '.join(written)} only;"
+                         f" --format {args.format} is not supported")
+
+
 def _emit(lines, out_path: str | None) -> None:
     """Write each item followed by a newline, as the iterable yields it.
 
@@ -126,6 +134,7 @@ def _render_ghost_text(g, t, q: int | None = None, d: int | None = None) -> list
 
 
 def cmd_ghost(args) -> int:
+    _check_format(args, ("text", "json"), "ghost")
     p = ParityPattern(args.x, args.y, _parse_sigma(args.sigma))
     qd = getattr(args, "map", None)
     if qd is None:
@@ -151,53 +160,98 @@ _BLOCK_LINES = 4096
 
 
 def _cell_worker(cell):
-    """One cell of a scan: kernel, JSONL lines and sampled orbit replays.
+    """One cell of a scan: its JSONL lines, each record built once, and
+    the replay of its sampled records.
 
-    Returns the cell's records as blocks of newline-joined lines, the
-    number of admissible patterns in it, and its integral hits.  Every
-    field is an int or a digit string, so the fixed template writes the
-    bytes of json.dumps(ghost_record(...), separators=(",", ":")) with
-    nothing to escape.  `verify` holds cell-local record indices whose
-    orbits are replayed by dynamics.
+    Sigma is walked in lexicographic order by recursion on the prefix.
+    Each level carries the prefix's part of C, of its n0 residue and of
+    its text, so a record costs one add, one add-and-mask, one division
+    test and one f-string.  Every field is an int or a digit string, so
+    the fixed template writes the bytes of json.dumps(ghost_record(...),
+    separators=(",", ":")) with nothing to escape.  `verify` holds sorted
+    cell-local record indices; each of those records is replayed from
+    the very sigma, C and n0 just written.
+
+    Returns the lines as blocks of at least _BLOCK_LINES lines (the last
+    may be shorter), the number of admissible patterns, and the
+    integral hits.
     """
     x, y, q, d, precision, include_map, verify = cell
-    recs = kernel.cell_records(x, y, q, d, precision)
-    depth = max(precision, x + 2)
-    gmap = GeneralizedMap(q, d)
-    for i in verify:
-        p = ParityPattern(x, y, recs[i][0])
-        if (q, d) == COLLATZ_QD:
-            iterate_cycle(p, depth)  # DynamicsViolation escapes as exit 2
-        else:
-            general_iterate_cycle(gmap, p, depth)
+    mask = (1 << precision) - 1
+    modulus = (1 << x) - q**y
+    inv = _inverse_mod_pow2(modulus & mask, precision)
     admissible = (1 << x) > q**y if d > 0 else (1 << x) < q**y
     head = f'{{"pattern":{{"x":{x},"y":{y},"sigma":['
     mid = f'],"ell":{x + y},"admissible":{"true" if admissible else "false"}}},"C":"'
-    n0_at = f'","modulus":"{(1 << x) - q**y}","n0":{{"residue":"'
+    n0_at = f'","modulus":"{modulus}","n0":{{"residue":"'
     verdict = f'","precision":{precision}}},"verdict":'
     tail = f',"q":{q},"d":{d}}}' if include_map else "}"
     ghost = f'{verdict}"ghost"{tail}'
     integer = f'{verdict}"integer-cycle","integer_value":"'
-    decimal = [str(i) for i in range(x)].__getitem__  # sigma entries are below x
-    lines = []
+    # level k puts d * q^(y-1-k) << sigma_k into C: per shift, its text,
+    # that term and the term's n0 residue; the last level (q^0) closes
+    # the sigma list
+    levels = []
+    for k in range(y):
+        scale = d * q ** (y - 1 - k)
+        sep = "," if k < y - 1 else mid
+        levels.append([(f"{s}{sep}", scale << s, ((scale << s) * inv) & mask) for s in range(x)])
+    leaf = levels[-1]
+    stop = x if y > 1 else 1  # sigma_0 is always 0
+    chosen = [0] * y
+    samples = iter(verify)
+    size = comb(x - 1, y - 1)
+    nxt = next(samples, size)  # the cell's size once every sample is replayed
+    blocks: list[str] = []
+    lines: list[str] = []
+    append = lines.append
+    written = 0  # lines already moved into blocks
     hits = []
-    for sigma, c, n0, quo in recs:
-        s = ",".join(map(decimal, sigma))
-        if quo is None:
-            lines.append(f"{head}{s}{mid}{c}{n0_at}{n0}{ghost}")
-        else:
-            lines.append(f'{head}{s}{mid}{c}{n0_at}{n0}{integer}{quo}"{tail}')
-            hits.append((x, y, sigma, quo, admissible))
-    del recs  # serialized; free them before the blocks are joined
-    # bounded blocks: the parent encodes one block at a time as it writes,
-    # never a copy of a whole cell
-    blocks = ["\n".join(lines[i:i + _BLOCK_LINES]) for i in range(0, len(lines), _BLOCK_LINES)]
-    return blocks, len(lines) if admissible else 0, hits
+
+    def last(lo, base, bn0, pre):
+        nonlocal nxt, written
+        i = written + len(lines) - lo  # the record ending in s has cell index i + s
+        at = nxt - i  # the last entry of the next sampled record, if it is in this leaf
+        for s, (text, cs, ns) in enumerate(leaf[lo:stop], lo):
+            c, n0 = base + cs, (bn0 + ns) & mask
+            if c % modulus:
+                append(f"{pre}{text}{c}{n0_at}{n0}{ghost}")
+            else:
+                append(f"{pre}{text}{c}{n0_at}{n0}{integer}{c // modulus}\"{tail}")
+                hits.append((x, y, (*chosen[:-1], s), c // modulus, admissible))
+            if s == at:
+                # the record just written; DynamicsViolation escapes as exit 2
+                replay_record(q, d, x, (*chosen[:-1], s), c, n0, modulus, precision)
+                nxt = next(samples, size)
+                at = nxt - i
+        if len(lines) >= _BLOCK_LINES:
+            # bounded blocks: the parent encodes one block at a time as it
+            # writes, never a copy of a whole cell
+            blocks.append("\n".join(lines))
+            written += len(lines)
+            lines.clear()
+
+    def walk(k, lo, base, bn0, pre):
+        if k == y - 1:
+            return last(lo, base, bn0, pre)
+        for s in range(lo, x - (y - 1 - k)):
+            chosen[k] = s
+            text, cs, ns = levels[k][s]
+            walk(k + 1, s + 1, base + cs, bn0 + ns, pre + text)
+
+    if y == 1:
+        last(0, 0, 0, head)
+    else:
+        text, cs, ns = levels[0][0]
+        walk(1, 1, cs, ns, head + text)
+    if lines:
+        blocks.append("\n".join(lines))
+    del walk  # it reaches itself through its closure: free the cell now, not at the next gc
+    return blocks, size if admissible else 0, hits
 
 
 def cmd_scan(args) -> int:
-    if args.format not in (None, "json"):
-        raise ValueError(f"scan writes JSON Lines only; --format {args.format} is not supported")
+    _check_format(args, ("json",), "scan")
     qd = getattr(args, "map", None)
     include_map = qd is not None and (qd.q, qd.d) != COLLATZ_QD
     q, d = (qd.q, qd.d) if qd is not None else COLLATZ_QD
@@ -240,7 +294,9 @@ def cmd_scan(args) -> int:
             for cell_blocks, admissible, hits in results:
                 admissible_count += admissible
                 integral.extend(hits)
-                yield from cell_blocks
+                cell_blocks.reverse()
+                while cell_blocks:
+                    yield cell_blocks.pop()  # free each block once it is written
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
@@ -272,6 +328,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_fibers(args) -> int:
+    _check_format(args, ("csv",), "fibers")
     rows = ["y,x,period_exact,period_bruteforce,agree"]
     three_y = 3**args.y
     for x in range(args.x_min, args.x_max + 1):
@@ -295,6 +352,7 @@ def cmd_fibers(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    _check_format(args, ("text", "json"), "witness")
     rec = nonsemilinearity_witness(args.y, args.bound)
     if args.format == "json":
         payload = {"y": rec.y, "M": str(args.bound), "x": rec.x, "period": str(rec.period)}
@@ -308,6 +366,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_density_probe(args) -> int:
+    _check_format(args, ("text", "json"), "density-probe")
     if not 1 <= args.target_precision <= 32:
         raise ValueError(f"--target-precision must be in [1, 32], got {args.target_precision}")
     tp = args.target_precision

@@ -11,7 +11,9 @@ odd step must shed exactly s_k = sigma[k] - sigma[k-1] bits, every
 intermediate value is a unit, and after y odd steps the orbit closes.
 `iterate_cycle` replays this and treats any mismatch as a hard error:
 the structure guarantees it cannot happen, so an occurrence means an
-implementation bug, never a data condition.
+implementation bug, never a data condition.  `replay_record` makes the
+same checks with plain ints on a record's own `n0`, for any map qn + d,
+so that a scan verifies what it writes rather than a value it re-solves.
 
 The classical single-step integer map (one halving per step) is kept
 separately as a cross-check oracle; mixing the two would break step
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .cycle import ghost_cycle
-from .padic import PadicInt, PrecisionError, ValuationIndeterminate
+from .padic import PadicInt, PrecisionError, ValuationIndeterminate, _inverse_mod_pow2
 from .patterns import ParityPattern
 
 
@@ -124,6 +126,49 @@ def iterate_cycle(p: ParityPattern, precision: int) -> CycleTrace:
     if not cur.agrees_with(m0):
         raise DynamicsViolation(p.y, 0, None, kind="closure")
     return CycleTrace(p, tuple(ms), tuple(vals), final)
+
+
+def replay_record(
+    q: int, d: int, x: int, sigma: tuple[int, ...], c: int, n0: int, modulus: int, precision: int
+) -> None:
+    """Check one scan record of the map qn + d by replaying its own n0.
+
+    The record's residue must lie below 2**precision and satisfy
+    n0 * modulus = C mod 2**precision.  Then the orbit of n0 is replayed
+    with int arithmetic: every m_k must be odd, the k-th odd step must
+    shed exactly s_{k+1} bits, and after x halvings the orbit must close
+    at the precision left.  Closure means n0 * modulus equals the
+    pattern's own cycle constant mod 2**precision, so the two checks
+    together also pin the record's C to sigma modulo 2**precision.  A
+    record with precision <= x + 1 has too few bits to close; its n0 is
+    then solved at x + 2 bits from C, checked against the record's low
+    bits, and that value is replayed.  Any mismatch raises
+    DynamicsViolation.
+    """
+    y = len(sigma)
+    mask = (1 << precision) - 1
+    if n0 >> precision or (n0 * modulus - c) & mask:
+        raise DynamicsViolation(y, c & mask, (n0 * modulus) & mask, kind="closure")
+    width = precision
+    if precision <= x + 1:
+        width = x + 2
+        wide = (1 << width) - 1
+        lifted = (c * _inverse_mod_pow2(modulus & wide, width)) & wide
+        if lifted & mask != n0:
+            raise DynamicsViolation(y, lifted & mask, n0, kind="closure")
+        n0 = lifted
+    m = n0
+    for k, (lo, hi) in enumerate(zip(sigma, (*sigma[1:], x))):
+        if not m & 1:
+            raise DynamicsViolation(k, 0, (m & -m).bit_length() - 1 if m else None, kind="unit")
+        t = (q * m + d) & ((1 << width) - 1)
+        s = (t & -t).bit_length() - 1 if t else width  # t = 0: at least width
+        if s != hi - lo:
+            raise DynamicsViolation(k, hi - lo, s)
+        m = t >> s
+        width -= s
+    if m != n0 & ((1 << width) - 1):
+        raise DynamicsViolation(y, 0, None, kind="closure")
 
 
 def verify_periodicity(p: ParityPattern, precision: int) -> bool:

@@ -6,6 +6,10 @@ cycle constant, quotient) with exact Python arithmetic before
 dispatching.  Everything else, and every environment where the extension
 failed to build, falls back to the pure twin.  Both twins share one
 contract and tests hold them byte-for-byte equal on overlapping cells.
+
+The scan does not call the kernel: it builds its records in one fused
+pass (`cli._cell_worker`).  The kernel serves `density-probe`, and the
+tests hold the scan's records to it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ def _max_abs_constant(x: int, y: int, q: int, d: int) -> int:
 
 
 def fits_compiled(x: int, y: int, q: int, d: int, precision: int) -> bool:
-    if precision > 64 or x > 62:
+    if not 1 <= precision <= 64 or x > 62:
         return False
     if q**y >= _INT62:
         return False
@@ -43,6 +47,8 @@ def cell_records(
     x: int, y: int, q: int, d: int, precision: int
 ) -> list[tuple[tuple[int, ...], int, int, int | None]]:
     """Dispatch one enumeration cell to the fastest safe backend."""
+    if precision < 1:
+        raise ValueError(f"precision must be >= 1, got {precision}")
     if _kernel_c is not None and fits_compiled(x, y, q, d, precision):
         return _kernel_c.cell_records(x, y, q, d, precision)
     return _kernel_py.cell_records(x, y, q, d, precision)

@@ -4,17 +4,19 @@ counts, and agreement with the library routes."""
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from ghostcycles import cli, kernel
+from ghostcycles import _kernel_py, cli
 from ghostcycles.cli import main
 from ghostcycles.cycle import ghost_cycle
 from ghostcycles.dynamics import DynamicsViolation
 from ghostcycles.generalized import GeneralizedMap, general_ghost_cycle
-from ghostcycles.patterns import ParityPattern, enumerate_by_length
+from ghostcycles.padic import _inverse_mod_pow2
+from ghostcycles.patterns import ParityPattern, enumerate_by_length, length_cells
 from ghostcycles.records import ghost_record
 
 
@@ -143,21 +145,29 @@ def test_scan_records_equal_library_records(capsys, tmp_path):
         assert rec == ghost_record(ghost_cycle(p, 64))
 
 
-@pytest.mark.parametrize("argv", [[], ["--map", "5,1"], ["--map", "3,-1"]],
-                         ids=["3n+1", "5n+1", "3n-1"])
-def test_scan_template_is_json_dumps_of_the_library_record(argv, capsys, tmp_path,
+@pytest.mark.parametrize(
+    "argv,precision",
+    [([], 64), (["--map", "5,1"], 64), (["--map", "3,-1"], 64),
+     ([], 5), (["--map", "3,-1"], 5), ([], 96), (["--map", "5,1"], 96)],
+    ids=["3n+1", "5n+1", "3n-1", "3n+1-precision-5", "3n-1-precision-5",
+         "3n+1-precision-96", "5n+1-precision-96"],
+)
+def test_scan_template_is_json_dumps_of_the_library_record(argv, precision, capsys, tmp_path,
                                                            monkeypatch):
     # the expected stream is built from the cycle modules, not the kernel
     m = GeneralizedMap(*map(int, argv[1].split(","))) if argv else None
     expected = []
     for p, _adm in enumerate_by_length(16):
         if m is not None:
-            rec = ghost_record(general_ghost_cycle(m, p, 64), m.q, m.d)
+            rec = ghost_record(general_ghost_cycle(m, p, precision), m.q, m.d)
         else:
-            rec = ghost_record(ghost_cycle(p, 64))
+            rec = ghost_record(ghost_cycle(p, precision))
         expected.append(json.dumps(rec, separators=(",", ":")) + "\n")
     expected = "".join(expected).encode()
     base = ["scan", "--ell-max", "16", *argv]
+    if precision != 64:
+        # replay every record; at precision 5 each with x >= 4 takes the lifted replay
+        base += ["--precision", str(precision), "--verify-sample", "100000"]
     monkeypatch.setattr(os, "cpu_count", lambda: 3)  # --jobs 2 runs a pool on any host
     one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
     assert run([*base, "--jobs", "1", "--out", str(one)], capsys)[0] == 0
@@ -182,10 +192,10 @@ def test_scan_template_is_json_dumps_of_the_library_record(argv, capsys, tmp_pat
 )
 def test_scan_rejects_inputs_outside_its_contract_before_any_work(flags, message, capsys,
                                                                   tmp_path, monkeypatch):
-    def no_kernel(*args):
-        raise AssertionError("the kernel ran on a rejected scan")
+    def no_cell(*args):
+        raise AssertionError("a cell ran on a rejected scan")
 
-    monkeypatch.setattr(kernel, "cell_records", no_kernel)
+    monkeypatch.setattr(cli, "_cell_worker", no_cell)
     out_path = tmp_path / "scan.jsonl"
     code, _, err = run(["scan", "--ell-max", "6", *flags, "--out", str(out_path)], capsys)
     assert code == 1
@@ -194,10 +204,10 @@ def test_scan_rejects_inputs_outside_its_contract_before_any_work(flags, message
 
 
 def test_unwritable_scan_out_fails_before_the_kernel_runs(capsys, monkeypatch):
-    def no_kernel(*args):
-        raise AssertionError("the kernel ran before --out was opened")
+    def no_cell(*args):
+        raise AssertionError("a cell ran before --out was opened")
 
-    monkeypatch.setattr(kernel, "cell_records", no_kernel)
+    monkeypatch.setattr(cli, "_cell_worker", no_cell)
     code, _, err = run(["scan", "--ell-max", "12", "--out", "/nonexistent/dir/f"], capsys)
     assert code == 3
     assert "i/o error" in err
@@ -223,15 +233,90 @@ def _violation_with_this_pid(*args):
     raise DynamicsViolation(0, 1, os.getpid())
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="pool workers inherit the patched dynamics only when forked")
+FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                               reason="pool workers inherit patched functions only when forked")
+
+
+@FORK_ONLY
 def test_dynamics_violation_in_a_pool_worker_exits_two(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "iterate_cycle", _violation_with_this_pid)
+    monkeypatch.setattr(cli, "replay_record", _violation_with_this_pid)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     code, _, err = run(["scan", "--ell-max", "12", "--jobs", "2", "--verify-sample", "50"], capsys)
     assert code == 2
     assert "dynamics violation: valuation violation at odd step 0: expected 1, observed " in err
     assert f"observed {os.getpid()}" not in err  # raised in a worker, not in this process
+
+
+@pytest.mark.parametrize("jobs", [pytest.param("1", id="in-process"),
+                                  pytest.param("2", id="pool", marks=FORK_ONLY)])
+@pytest.mark.parametrize("argv", [[], ["--map", "3,-1"], ["--precision", "5"],
+                                  ["--verify-sample", "100", "--seed", "7"]],
+                         ids=["3n+1", "3n-1", "precision-5", "sample-100"])
+def test_scan_replays_exactly_the_records_it_writes(jobs, argv, capsys, tmp_path, monkeypatch):
+    calls_path = tmp_path / "calls.jsonl"
+    real = cli.replay_record
+
+    def spy(q, d, x, sigma, c, n0, modulus, precision):
+        with open(calls_path, "a", encoding="utf-8") as fh:  # pool workers append too
+            fh.write(json.dumps([x, list(sigma), str(c), str(n0), str(modulus)]) + "\n")
+        real(q, d, x, sigma, c, n0, modulus, precision)
+
+    monkeypatch.setattr(cli, "replay_record", spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    out_path = tmp_path / "scan.jsonl"
+    code, _, _ = run(["scan", "--ell-max", "12", "--verify-sample", "1000", *argv,
+                      "--jobs", jobs, "--out", str(out_path)], capsys)
+    assert code == 0
+    written = []
+    for line in out_path.read_text().splitlines():
+        rec = json.loads(line)
+        pat = rec["pattern"]
+        written.append([pat["x"], pat["sigma"], rec["C"], rec["n0"]["residue"], rec["modulus"]])
+    assert len(written) == 232
+    sampled = written  # 1000 covers every pattern of length <= 12
+    if "--seed" in argv:
+        sampled = [written[i] for i in sorted(random.Random(7).sample(range(232), 100))]
+    calls = [json.loads(line) for line in calls_path.read_text().splitlines()]
+    if jobs == "1":
+        assert calls == sampled  # one call per sampled line, in line order
+    else:
+        # cells finish in any order across workers; each pattern is unique
+        assert sorted(calls) == sorted(sampled)
+
+
+def _wrong_inverse(a, bits):
+    return _inverse_mod_pow2(a, bits) ^ 2  # still odd, so every written n0 is off
+
+
+@pytest.mark.parametrize("jobs", [pytest.param("1", id="in-process"),
+                                  pytest.param("2", id="pool", marks=FORK_ONLY)])
+def test_scan_with_a_corrupted_n0_exits_two(jobs, capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "_inverse_mod_pow2", _wrong_inverse)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    code, _, err = run(["scan", "--ell-max", "12", "--verify-sample", "1000", "--jobs", jobs,
+                        "--out", str(tmp_path / "scan.jsonl")], capsys)
+    assert code == 2
+    assert "dynamics violation: closure violation" in err
+
+
+@pytest.mark.parametrize("q,d", [(3, 1), (5, 1), (3, -1), (7, 3)])
+@pytest.mark.parametrize("precision", [5, 64, 96])
+def test_cell_writer_records_equal_the_kernel_oracle(q, d, precision):
+    for _ell, y, x in length_cells(16):
+        blocks, admissible, hits = cli._cell_worker((x, y, q, d, precision, True, ()))
+        got = []
+        for line in "\n".join(blocks).split("\n"):
+            rec = json.loads(line)
+            quo = int(rec["integer_value"]) if rec["verdict"] == "integer-cycle" else None
+            got.append((tuple(rec["pattern"]["sigma"]), int(rec["C"]),
+                        int(rec["n0"]["residue"]), quo))
+        oracle = _kernel_py.cell_records(x, y, q, d, precision)
+        assert got == oracle
+        assert all(len(b.split("\n")) >= cli._BLOCK_LINES for b in blocks[:-1])
+        is_admissible = (1 << x) > q**y if d > 0 else (1 << x) < q**y
+        assert admissible == (len(oracle) if is_admissible else 0)
+        assert hits == [(x, y, sigma, quo, is_admissible)
+                        for sigma, _c, _n0, quo in oracle if quo is not None]
 
 
 def test_general_single_pattern(capsys):
@@ -283,6 +368,29 @@ def test_witness_text_and_json(capsys):
     code, out, _ = run(["witness", "--y", "2", "-M", "100", "--format", "json"], capsys)
     assert code == 0
     assert json.loads(out) == {"y": 2, "M": "100", "x": 7, "period": "119"}
+
+
+@pytest.mark.parametrize(
+    "argv,target",
+    [
+        (["fibers", "--y", "1", "--x-min", "2", "--x-max", "3", "--format", "json"],
+         "fiber_period_exact"),
+        (["fibers", "--y", "1", "--x-min", "2", "--x-max", "3", "--format", "text"],
+         "fiber_period_exact"),
+        (["witness", "--y", "1", "--bound", "10", "--format", "csv"], "nonsemilinearity_witness"),
+        (["ghost", "--x", "4", "--y", "2", "--sigma", "0,1", "--format", "csv"], "ghost_cycle"),
+        (["density-probe", "--target", "1", "--format", "csv"], "kernel"),
+    ],
+    ids=["fibers-json", "fibers-text", "witness-csv", "ghost-csv", "density-probe-csv"],
+)
+def test_commands_reject_formats_they_do_not_write(argv, target, capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, target, None)  # any work would fail on the missing name
+    out_path = tmp_path / "out"
+    code, out, err = run([*argv, "--out", str(out_path)], capsys)
+    assert code == 1
+    assert f"--format {argv[-1]} is not supported" in err
+    assert f"error: {argv[0]} writes " in err
+    assert out == "" and not out_path.exists()
 
 
 def test_density_probe_even_target_never_matches(capsys):

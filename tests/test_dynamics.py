@@ -13,11 +13,13 @@ from ghostcycles.dynamics import (
     DynamicsViolation,
     iterate_cycle,
     iterate_integer,
+    replay_record,
     t2_step,
     verify_periodicity,
 )
 from ghostcycles.padic import PrecisionError, ValuationIndeterminate, make
-from ghostcycles.patterns import ParityPattern, is_admissible
+from ghostcycles.generalized import GeneralizedMap, general_ghost_cycle, general_iterate_cycle
+from ghostcycles.patterns import ParityPattern, enumerate_by_length, is_admissible
 
 
 def test_t2_step_examples():
@@ -76,6 +78,67 @@ def test_trace_invariants_on_examples():
         assert all(m.is_unit for m in t.m)
         assert t.closed
         assert t.m[0] == ghost_cycle(p, 64).n0
+
+
+def _replay_cases(q, d, ell_max):
+    # records solved by the cycle module, at the precisions around the lift
+    m = GeneralizedMap(q, d)
+    for p, _adm in enumerate_by_length(ell_max):
+        for precision in (p.x, p.x + 1, p.x + 2, 64):
+            g = general_ghost_cycle(m, p, precision)
+            yield p, precision, g.constant, g.n0.residue, g.modulus
+
+
+@pytest.mark.parametrize("q,d", [(3, 1), (5, 1), (3, -1)])
+def test_replay_record_accepts_the_record_and_rejects_every_bit_flip(q, d):
+    for p, precision, c, n0, modulus in _replay_cases(q, d, 12):
+        replay_record(q, d, p.x, p.sigma, c, n0, modulus, precision)
+        for bit in range(precision):
+            with pytest.raises(DynamicsViolation):
+                replay_record(q, d, p.x, p.sigma, c, n0 ^ (1 << bit), modulus, precision)
+            # C and n0 moved together still agree with each other; above bit
+            # x the halving counts cannot tell, so the closure must
+            moved = (n0 + (1 << bit)) & ((1 << precision) - 1)
+            with pytest.raises(DynamicsViolation) as caught:
+                replay_record(q, d, p.x, p.sigma, c + (modulus << bit), moved, modulus, precision)
+            if bit > p.x:
+                assert (caught.value.kind, caught.value.step) == ("closure", p.y)
+        for wrong_c in (c - modulus, c + modulus):
+            with pytest.raises(DynamicsViolation):
+                replay_record(q, d, p.x, p.sigma, wrong_c, n0, modulus, precision)
+        with pytest.raises(DynamicsViolation):  # a residue past the record's precision
+            replay_record(q, d, p.x, p.sigma, c, n0 + (1 << precision), modulus, precision)
+
+
+@pytest.mark.parametrize("q,d", [(3, 1), (5, 1), (3, -1)])
+def test_replay_record_rejects_a_consistent_record_of_another_pattern(q, d):
+    # C and n0 agree with each other, so only the orbit replay can tell
+    by_cell = {}
+    for p, precision, c, n0, modulus in _replay_cases(q, d, 12):
+        by_cell.setdefault((p.x, p.y, precision), []).append((p, c, n0, modulus))
+    checked = 0
+    for (x, _y, precision), records in by_cell.items():
+        for (p, c, n0, modulus), (other, *_rest) in zip(records, records[1:] + records[:1]):
+            if other.sigma == p.sigma:
+                continue
+            with pytest.raises(DynamicsViolation):
+                replay_record(q, d, x, other.sigma, c, n0, modulus, precision)
+            checked += 1
+    assert checked > 500
+
+
+@pytest.mark.parametrize("q,d", [(3, 1), (5, 1), (3, -1)])
+def test_replay_record_accepts_what_the_traced_replay_closes(q, d):
+    # the oracle: iterate_cycle / general_iterate_cycle trace each orbit
+    # from their own n0 with PadicInt; the int-only replay must accept a
+    # record carrying exactly that n0, and see the same halving counts
+    m = GeneralizedMap(q, d)
+    for p, precision, c, n0, modulus in _replay_cases(q, d, 12):
+        depth = max(precision, p.x + 2)
+        trace = iterate_cycle(p, depth) if (q, d) == (3, 1) else general_iterate_cycle(m, p, depth)
+        assert trace.closed and trace.step_valuations == p.steps()
+        assert trace.m[0].residue & ((1 << precision) - 1) == n0
+        replay_record(q, d, p.x, p.sigma, c, n0, modulus, precision)
 
 
 def test_verify_periodicity_examples():

@@ -114,6 +114,13 @@ def test_fit_guard_rejects_out_of_range_cells():
     assert kernel.fits_compiled(24, 12, 3, 1, 64)
 
 
+@pytest.mark.parametrize("precision", [0, -1])
+def test_kernel_rejects_precision_below_one(precision):
+    assert not kernel.fits_compiled(6, 3, 3, 1, precision)
+    with pytest.raises(ValueError, match=f"precision must be >= 1, got {precision}"):
+        kernel.cell_records(6, 3, 3, 1, precision)
+
+
 def test_pure_kernel_handles_cells_beyond_the_word_size():
     # x = 80 cannot fit the compiled kernel; the dispatcher must still answer
     out = kernel.cell_records(80, 1, 3, 1, 128)
