@@ -38,12 +38,11 @@ from .generalized import (
     general_ghost_cycle,
     general_integer_oracle,
     general_integrality_test,
-    general_is_admissible,
     general_iterate_cycle,
     general_verify_periodicity,
 )
 from .kernel import backend_name
-from .padic import NotAUnit, PadicInt, PrecisionError, ValuationIndeterminate, invert_unit, make
+from .padic import NotAUnit, PadicInt, PrecisionError, ValuationIndeterminate, invert_unit
 from .patterns import (
     ParityPattern,
     PatternError,
@@ -67,7 +66,7 @@ from .semilinear import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "PadicInt", "make", "invert_unit",
+    "PadicInt", "invert_unit",
     "PrecisionError", "ValuationIndeterminate", "NotAUnit",
     "ParityPattern", "PatternError", "is_admissible",
     "enumerate_sigmas", "enumerate_by_length", "length_cells",
@@ -77,7 +76,7 @@ __all__ = [
     "CycleTrace", "DynamicsViolation",
     "t2_step", "iterate_cycle", "verify_periodicity", "iterate_integer",
     "GeneralizedMap", "COLLATZ",
-    "general_ghost_cycle", "general_integrality_test", "general_is_admissible",
+    "general_ghost_cycle", "general_integrality_test",
     "general_iterate_cycle", "general_verify_periodicity", "general_integer_oracle",
     "LinearSet", "SemilinearSet", "FiberPeriodRecord",
     "membership", "dy_membership",

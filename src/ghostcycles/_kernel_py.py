@@ -2,9 +2,9 @@
 
 One call processes one cell (x, y) of the pattern enumeration for a map
 qn + d: every parity pattern with those step counts, in lexicographic
-sigma order.  Returns plain tuples so results are cheap to ship across
-process boundaries; the compiled twin in _kernel_c must produce
-identical output wherever kernel._fits_compiled allows it to run.
+sigma order, as plain tuples.  `density-probe` reads it through
+`kernel.cell_records`, and the tests hold the scan's fused record
+writer (`cli._cell_worker`) to it as the oracle.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from .cycle import ghost_cycle
 from .dynamics import DynamicsViolation, iterate_cycle, replay_record
 from .generalized import GeneralizedMap, general_ghost_cycle, general_iterate_cycle
 from .padic import _inverse_mod_pow2
-from .patterns import ParityPattern, PatternError, length_cells
+from .patterns import ParityPattern, PatternError, is_admissible, length_cells
 from .records import ghost_record, trace_record
 from .semilinear import (
     FiberUndefined,
@@ -180,7 +180,7 @@ def _cell_worker(cell):
     mask = (1 << precision) - 1
     modulus = (1 << x) - q**y
     inv = _inverse_mod_pow2(modulus & mask, precision)
-    admissible = (1 << x) > q**y if d > 0 else (1 << x) < q**y
+    admissible = is_admissible(x, y, q, d)
     head = f'{{"pattern":{{"x":{x},"y":{y},"sigma":['
     mid = f'],"ell":{x + y},"admissible":{"true" if admissible else "false"}}},"C":"'
     n0_at = f'","modulus":"{modulus}","n0":{{"residue":"'
@@ -215,13 +215,16 @@ def _cell_worker(cell):
         for s, (text, cs, ns) in enumerate(leaf[lo:stop], lo):
             c, n0 = base + cs, (bn0 + ns) & mask
             if c % modulus:
+                quo = None
                 append(f"{pre}{text}{c}{n0_at}{n0}{ghost}")
             else:
-                append(f"{pre}{text}{c}{n0_at}{n0}{integer}{c // modulus}\"{tail}")
-                hits.append((x, y, (*chosen[:-1], s), c // modulus, admissible))
+                quo = c // modulus
+                append(f"{pre}{text}{c}{n0_at}{n0}{integer}{quo}\"{tail}")
+                hits.append((x, y, (*chosen[:-1], s), quo, admissible))
             if s == at:
-                # the record just written; DynamicsViolation escapes as exit 2
-                replay_record(q, d, x, (*chosen[:-1], s), c, n0, modulus, precision)
+                # the record just written, verdict and quotient included;
+                # DynamicsViolation escapes as exit 2
+                replay_record(q, d, x, (*chosen[:-1], s), c, n0, modulus, precision, quo)
                 nxt = next(samples, size)
                 at = nxt - i
         if len(lines) >= _BLOCK_LINES:
@@ -330,9 +333,8 @@ def cmd_scan(args) -> int:
 def cmd_fibers(args) -> int:
     _check_format(args, ("csv",), "fibers")
     rows = ["y,x,period_exact,period_bruteforce,agree"]
-    three_y = 3**args.y
     for x in range(args.x_min, args.x_max + 1):
-        if (1 << x) <= three_y:
+        if not is_admissible(x, args.y):
             continue
         exact = fiber_period_exact(args.y, x).period
         if args.scan_bound is not None:
@@ -376,7 +378,7 @@ def cmd_density_probe(args) -> int:
     best = None  # (depth, x, y, sigma)
     histogram: dict[int, int] = {}
     for _, y, x in length_cells(args.ell_max):
-        if (1 << x) <= 3**y:
+        if not is_admissible(x, y):
             continue
         for sigma, _c, n0, _quo in kernel.cell_records(x, y, 3, 1, tp):
             diff = (n0 ^ target) & mask

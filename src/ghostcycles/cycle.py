@@ -118,7 +118,7 @@ def prefix_certificate(p: ParityPattern, k: int) -> Certificate:
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if not is_admissible(p):
+    if not is_admissible(p.x, p.y):
         raise InadmissiblePattern(
             f"pattern (x={p.x}, y={p.y}) is inadmissible; the integer bound needs a positive modulus"
         )

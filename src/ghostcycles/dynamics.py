@@ -12,8 +12,9 @@ intermediate value is a unit, and after y odd steps the orbit closes.
 `iterate_cycle` replays this and treats any mismatch as a hard error:
 the structure guarantees it cannot happen, so an occurrence means an
 implementation bug, never a data condition.  `replay_record` makes the
-same checks with plain ints on a record's own `n0`, for any map qn + d,
-so that a scan verifies what it writes rather than a value it re-solves.
+same checks with plain ints on a record's own `n0` and verdict, for any
+map qn + d, so that a scan verifies what it writes rather than a value it
+re-solves.
 
 The classical single-step integer map (one halving per step) is kept
 separately as a cross-check oracle; mixing the two would break step
@@ -37,9 +38,10 @@ class Branch(Enum):
 
 
 class DynamicsViolation(RuntimeError):
-    """A forced-valuation or closure assertion failed (implementation bug)."""
+    """A forced-valuation, closure or verdict check failed (implementation bug)."""
 
-    def __init__(self, step: int, expected: int, observed: int | None, kind: str = "valuation"):
+    def __init__(self, step: int, expected: int | None, observed: int | None,
+                 kind: str = "valuation"):
         self.step = step
         self.expected = expected
         self.observed = observed
@@ -129,23 +131,29 @@ def iterate_cycle(p: ParityPattern, precision: int) -> CycleTrace:
 
 
 def replay_record(
-    q: int, d: int, x: int, sigma: tuple[int, ...], c: int, n0: int, modulus: int, precision: int
+    q: int, d: int, x: int, sigma: tuple[int, ...], c: int, n0: int, modulus: int, precision: int,
+    quotient: int | None,
 ) -> None:
     """Check one scan record of the map qn + d by replaying its own n0.
 
-    The record's residue must lie below 2**precision and satisfy
-    n0 * modulus = C mod 2**precision.  Then the orbit of n0 is replayed
-    with int arithmetic: every m_k must be odd, the k-th odd step must
-    shed exactly s_{k+1} bits, and after x halvings the orbit must close
-    at the precision left.  Closure means n0 * modulus equals the
-    pattern's own cycle constant mod 2**precision, so the two checks
-    together also pin the record's C to sigma modulo 2**precision.  A
-    record with precision <= x + 1 has too few bits to close; its n0 is
-    then solved at x + 2 bits from C, checked against the record's low
-    bits, and that value is replayed.  Any mismatch raises
+    The record's verdict comes first: an integer cycle's written quotient
+    must satisfy quotient * modulus = C exactly, and a ghost (quotient
+    None) needs C mod modulus != 0.  The record's residue must lie below
+    2**precision and satisfy n0 * modulus = C mod 2**precision.  Then the
+    orbit of n0 is replayed with int arithmetic: every m_k must be odd,
+    the k-th odd step must shed exactly s_{k+1} bits, and after x halvings
+    the orbit must close at the precision left.  Closure means n0 *
+    modulus equals the pattern's own cycle constant mod 2**precision, so
+    the two checks together also pin the record's C to sigma modulo
+    2**precision.  A record with precision <= x + 1 has too few bits to
+    close; its n0 is then solved at x + 2 bits from C, checked against the
+    record's low bits, and that value is replayed.  Any mismatch raises
     DynamicsViolation.
     """
     y = len(sigma)
+    exact = None if c % modulus else c // modulus
+    if quotient != exact:
+        raise DynamicsViolation(y, exact, quotient, kind="verdict")
     mask = (1 << precision) - 1
     if n0 >> precision or (n0 * modulus - c) & mask:
         raise DynamicsViolation(y, c & mask, (n0 * modulus) & mask, kind="closure")

@@ -52,13 +52,6 @@ def general_modulus(map_: GeneralizedMap, p: ParityPattern) -> int:
     return m
 
 
-def general_is_admissible(map_: GeneralizedMap, p: ParityPattern) -> bool:
-    """Positive-cycle size bound: 2**x > q**y for d > 0.  For d < 0 a
-    positive solution needs the opposite sign, so the test flips."""
-    two_x, q_y = 1 << p.x, map_.q ** p.y
-    return two_x > q_y if map_.d > 0 else two_x < q_y
-
-
 def general_integrality_test(map_: GeneralizedMap, p: ParityPattern) -> Verdict:
     c = general_cycle_constant(map_, p)
     q, r = divmod(c, general_modulus(map_, p))

@@ -95,11 +95,6 @@ class PadicInt:
         return ((self.residue ^ other.residue) & ((1 << k) - 1)) == 0
 
 
-def make(value: int, precision: int) -> PadicInt:
-    """Embed an integer, reducing it into [0, 2**precision)."""
-    return PadicInt(value, precision)
-
-
 def _inverse_mod_pow2(a: int, bits: int) -> int:
     """Inverse of odd `a` modulo 2**bits by Newton doubling from the 1-bit seed."""
     inv = 1

@@ -6,9 +6,10 @@ cumulative number of halvings performed before the k-th odd step, so
     0 = sigma[0] < sigma[1] < ... < sigma[y-1] < x.
 
 A pattern is *admissible* when 2**x > 3**y, the size constraint a
-positive cycle value must satisfy.  Inadmissible patterns stay fully
-representable: their cycle equation still has a unique 2-adic solution,
-and the negative integer cycles they produce are useful cross-checks.
+positive cycle value must satisfy; `is_admissible` also covers the maps
+qn + d.  Inadmissible patterns stay fully representable: their cycle
+equation still has a unique 2-adic solution, and the negative integer
+cycles they produce are useful cross-checks.
 """
 
 from __future__ import annotations
@@ -74,14 +75,13 @@ class ParityPattern:
         return "".join("O" + "E" * s for s in self.steps())
 
 
-def validate(x: int, y: int, sigma) -> ParityPattern:
-    """Build a pattern, raising PatternError naming the violated clause."""
-    return ParityPattern(x, y, tuple(sigma))
-
-
-def is_admissible(p: ParityPattern) -> bool:
-    """Exact comparison 2**x > 3**y; never goes through logarithms."""
-    return (1 << p.x) > 3 ** p.y
+def is_admissible(x: int, y: int, q: int = 3, d: int = 1) -> bool:
+    """The positive-cycle size bound of the map qn + d, by exact integer
+    comparison, never through logarithms: 2**x > q**y for d > 0.  For
+    d < 0 a positive cycle value needs the opposite sign, so the test
+    flips to 2**x < q**y."""
+    two_x, q_y = 1 << x, q**y
+    return two_x > q_y if d > 0 else two_x < q_y
 
 
 def enumerate_sigmas(y: int, x: int) -> Iterator[ParityPattern]:
@@ -116,5 +116,6 @@ def enumerate_by_length(ell_max: int) -> Iterator[tuple[ParityPattern, bool]]:
     inadmissible) pattern (1, 1, (0,)).
     """
     for _ell, y, x in length_cells(ell_max):
+        admissible = is_admissible(x, y)
         for p in enumerate_sigmas(y, x):
-            yield p, is_admissible(p)
+            yield p, admissible

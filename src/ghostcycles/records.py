@@ -10,7 +10,6 @@ from typing import Any
 
 from .cycle import GhostCycle, IntegerCycle
 from .dynamics import CycleTrace
-from .generalized import GeneralizedMap, general_is_admissible
 from .padic import PadicInt
 from .patterns import ParityPattern, is_admissible
 
@@ -25,7 +24,7 @@ def pattern_record(p: ParityPattern) -> dict[str, Any]:
         "y": p.y,
         "sigma": list(p.sigma),
         "ell": p.ell,
-        "admissible": is_admissible(p),
+        "admissible": is_admissible(p.x, p.y),
     }
 
 
@@ -44,8 +43,7 @@ def ghost_record(g: GhostCycle, q: int | None = None, d: int | None = None) -> d
     if q is not None:
         if d is None:
             raise ValueError("q and d must be given together")
-        # admissibility depends on the map: 2^x vs q^y, sign-aware in d
-        rec["pattern"]["admissible"] = general_is_admissible(GeneralizedMap(q, d), g.pattern)
+        rec["pattern"]["admissible"] = is_admissible(g.pattern.x, g.pattern.y, q, d)
         rec["q"] = q
         rec["d"] = d
     return rec

@@ -25,7 +25,7 @@ from ghostcycles.generalized import (
     general_integrality_test,
     general_modulus,
 )
-from ghostcycles.padic import invert_unit, make
+from ghostcycles.padic import PadicInt, invert_unit
 from ghostcycles.patterns import ParityPattern, enumerate_by_length, length_cells
 from ghostcycles.semilinear import (
     fiber_eventual_period,
@@ -168,25 +168,25 @@ def test_criterion_8_padic_algebra_suite():
 
     for _ in range(300):  # ring laws at random precisions
         k = rng.randint(1, 128)
-        a, b, c = (make(rng.getrandbits(k + 16), k) for _ in range(3))
+        a, b, c = (PadicInt(rng.getrandbits(k + 16), k) for _ in range(3))
         assert (a + b) + c == a + (b + c)
         assert a * (b + c) == a * b + a * c
-        assert a * make(1, k) == a
+        assert a * PadicInt(1, k) == a
 
     for k in (4, 8, 16):  # exhaustive inversion
         for r in range(1, 1 << k, 2):
-            u = make(r, k)
+            u = PadicInt(r, k)
             assert (u * invert_unit(u)).residue == 1
 
     for k in (64, 256):  # randomized inversion against the pow oracle
         for _ in range(200):
             r = rng.getrandbits(k) | 1
-            assert invert_unit(make(r, k)).residue == pow(r, -1, 1 << k)
+            assert invert_unit(PadicInt(r, k)).residue == pow(r, -1, 1 << k)
 
     for _ in range(300):  # v2 additivity where exact
         i, j = rng.randint(0, 20), rng.randint(0, 20)
         k = i + j + 40
-        a = make((2 * rng.getrandbits(16) + 1) << i, k)
-        b = make((2 * rng.getrandbits(16) + 1) << j, k)
+        a = PadicInt((2 * rng.getrandbits(16) + 1) << i, k)
+        b = PadicInt((2 * rng.getrandbits(16) + 1) << j, k)
         assert (a * b).v2() == i + j
     report("8 padic-algebra-suite", time.perf_counter() - start, 10)

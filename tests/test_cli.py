@@ -1,6 +1,7 @@
 """CLI behavior: rendering, schemas, exit codes, determinism across job
 counts, and agreement with the library routes."""
 
+import inspect
 import json
 import multiprocessing
 import os
@@ -256,10 +257,11 @@ def test_scan_replays_exactly_the_records_it_writes(jobs, argv, capsys, tmp_path
     calls_path = tmp_path / "calls.jsonl"
     real = cli.replay_record
 
-    def spy(q, d, x, sigma, c, n0, modulus, precision):
+    def spy(q, d, x, sigma, c, n0, modulus, precision, quotient):
         with open(calls_path, "a", encoding="utf-8") as fh:  # pool workers append too
-            fh.write(json.dumps([x, list(sigma), str(c), str(n0), str(modulus)]) + "\n")
-        real(q, d, x, sigma, c, n0, modulus, precision)
+            quo = None if quotient is None else str(quotient)
+            fh.write(json.dumps([x, list(sigma), str(c), str(n0), str(modulus), quo]) + "\n")
+        real(q, d, x, sigma, c, n0, modulus, precision, quotient)
 
     monkeypatch.setattr(cli, "replay_record", spy)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -271,7 +273,8 @@ def test_scan_replays_exactly_the_records_it_writes(jobs, argv, capsys, tmp_path
     for line in out_path.read_text().splitlines():
         rec = json.loads(line)
         pat = rec["pattern"]
-        written.append([pat["x"], pat["sigma"], rec["C"], rec["n0"]["residue"], rec["modulus"]])
+        written.append([pat["x"], pat["sigma"], rec["C"], rec["n0"]["residue"], rec["modulus"],
+                        rec.get("integer_value")])
     assert len(written) == 232
     sampled = written  # 1000 covers every pattern of length <= 12
     if "--seed" in argv:
@@ -297,6 +300,33 @@ def test_scan_with_a_corrupted_n0_exits_two(jobs, capsys, monkeypatch, tmp_path)
                         "--out", str(tmp_path / "scan.jsonl")], capsys)
     assert code == 2
     assert "dynamics violation: closure violation" in err
+
+
+def _cell_worker_with(old, new):
+    """cli._cell_worker compiled from its own source with one line changed."""
+    source = inspect.getsource(cli._cell_worker)
+    assert source.count(old) == 1
+    namespace = dict(vars(cli))  # the module's globals, so the mutant resolves every name
+    exec(compile(source.replace(old, new), cli.__file__, "exec"), namespace)
+    return namespace["_cell_worker"]
+
+
+@pytest.mark.parametrize("jobs", [pytest.param("1", id="in-process"),
+                                  pytest.param("2", id="pool", marks=FORK_ONLY)])
+def test_scan_with_an_integer_value_off_by_one_exits_two(jobs, capsys, monkeypatch, tmp_path):
+    mutant = _cell_worker_with("quo = c // modulus\n", "quo = c // modulus + 1\n")
+    monkeypatch.setattr(cli, "_cell_worker", mutant)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    out_path = tmp_path / "scan.jsonl"
+    base = ["scan", "--ell-max", "12", "--jobs", jobs, "--out", str(out_path)]
+    # unverified, the mutant writes 2 for the trivial cycle through 1 and exits 0
+    assert run([*base, "--verify-sample", "0"], capsys)[0] == 0
+    line = next(line for line in out_path.read_text().splitlines()
+                if line.startswith('{"pattern":{"x":4,"y":2,"sigma":[0,2],'))
+    assert json.loads(line)["integer_value"] == "2"
+    code, _, err = run([*base, "--verify-sample", "1000"], capsys)
+    assert code == 2
+    assert "dynamics violation: verdict violation at odd step " in err
 
 
 @pytest.mark.parametrize("q,d", [(3, 1), (5, 1), (3, -1), (7, 3)])

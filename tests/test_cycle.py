@@ -124,7 +124,7 @@ def test_prefix_certificate_rejects_inadmissible():
 
 @given(patterns, st.integers(1, 64))
 def test_certificate_is_sound_and_consistent(p, k):
-    if not is_admissible(p):
+    if not is_admissible(p.x, p.y):
         return
     cert = prefix_certificate(p, k)
     truth = integrality_test(p)

@@ -17,27 +17,27 @@ from ghostcycles.dynamics import (
     t2_step,
     verify_periodicity,
 )
-from ghostcycles.padic import PrecisionError, ValuationIndeterminate, make
+from ghostcycles.padic import PadicInt, PrecisionError, ValuationIndeterminate
 from ghostcycles.generalized import GeneralizedMap, general_ghost_cycle, general_iterate_cycle
 from ghostcycles.patterns import ParityPattern, enumerate_by_length, is_admissible
 
 
 def test_t2_step_examples():
-    out, branch, s = t2_step(make(1, 8))
+    out, branch, s = t2_step(PadicInt(1, 8))
     assert (out.residue, out.precision, branch, s) == (1, 6, Branch.ODD, 2)
 
-    out, branch, s = t2_step(make(19, 5))
+    out, branch, s = t2_step(PadicInt(19, 5))
     assert (out.residue, out.precision, branch, s) == (13, 4, Branch.ODD, 1)
 
-    out, branch, s = t2_step(make(6, 4))
+    out, branch, s = t2_step(PadicInt(6, 4))
     assert (out.residue, out.precision, branch, s) == (3, 3, Branch.EVEN, 1)
 
 
 def test_t2_step_error_cases():
     with pytest.raises(ValuationIndeterminate):
-        t2_step(make(0, 8))
+        t2_step(PadicInt(0, 8))
     with pytest.raises(PrecisionError):
-        t2_step(make(1, 2))  # 3*1+1 = 0 mod 4: halvings would exhaust the window
+        t2_step(PadicInt(1, 2))  # 3*1+1 = 0 mod 4: halvings would exhaust the window
 
 
 def test_iterate_cycle_examples():
@@ -86,43 +86,71 @@ def _replay_cases(q, d, ell_max):
     for p, _adm in enumerate_by_length(ell_max):
         for precision in (p.x, p.x + 1, p.x + 2, 64):
             g = general_ghost_cycle(m, p, precision)
-            yield p, precision, g.constant, g.n0.residue, g.modulus
+            quo = g.verdict.value if isinstance(g.verdict, IntegerCycle) else None
+            yield p, precision, g.constant, g.n0.residue, g.modulus, quo
 
 
 @pytest.mark.parametrize("q,d", [(3, 1), (5, 1), (3, -1)])
 def test_replay_record_accepts_the_record_and_rejects_every_bit_flip(q, d):
-    for p, precision, c, n0, modulus in _replay_cases(q, d, 12):
-        replay_record(q, d, p.x, p.sigma, c, n0, modulus, precision)
+    for p, precision, c, n0, modulus, quo in _replay_cases(q, d, 12):
+        replay_record(q, d, p.x, p.sigma, c, n0, modulus, precision, quo)
         for bit in range(precision):
             with pytest.raises(DynamicsViolation):
-                replay_record(q, d, p.x, p.sigma, c, n0 ^ (1 << bit), modulus, precision)
-            # C and n0 moved together still agree with each other; above bit
-            # x the halving counts cannot tell, so the closure must
+                replay_record(q, d, p.x, p.sigma, c, n0 ^ (1 << bit), modulus, precision, quo)
+            # C, n0 and the quotient moved together still agree with each
+            # other; above bit x the halving counts cannot tell, so the
+            # closure must
             moved = (n0 + (1 << bit)) & ((1 << precision) - 1)
+            moved_quo = None if quo is None else quo + (1 << bit)
             with pytest.raises(DynamicsViolation) as caught:
-                replay_record(q, d, p.x, p.sigma, c + (modulus << bit), moved, modulus, precision)
+                replay_record(q, d, p.x, p.sigma, c + (modulus << bit), moved, modulus, precision,
+                              moved_quo)
             if bit > p.x:
                 assert (caught.value.kind, caught.value.step) == ("closure", p.y)
-        for wrong_c in (c - modulus, c + modulus):
-            with pytest.raises(DynamicsViolation):
-                replay_record(q, d, p.x, p.sigma, wrong_c, n0, modulus, precision)
+        for step in (-1, 1):  # a wrong C that keeps the verdict and quotient consistent
+            with pytest.raises(DynamicsViolation) as caught:
+                replay_record(q, d, p.x, p.sigma, c + step * modulus, n0, modulus, precision,
+                              None if quo is None else quo + step)
+            assert caught.value.kind != "verdict"
         with pytest.raises(DynamicsViolation):  # a residue past the record's precision
-            replay_record(q, d, p.x, p.sigma, c, n0 + (1 << precision), modulus, precision)
+            replay_record(q, d, p.x, p.sigma, c, n0 + (1 << precision), modulus, precision, quo)
+
+
+@pytest.mark.parametrize("q,d", [(3, 1), (5, 1), (3, -1)])
+def test_replay_record_rejects_a_wrong_verdict_or_quotient(q, d):
+    # the oracle is the cycle module's verdict; C and n0 stay the record's own
+    integers = ghosts = 0
+    for p, precision, c, n0, modulus, quo in _replay_cases(q, d, 12):
+        if quo is None:  # a ghost labelled as an integer cycle
+            wrongs, expected = (c // modulus, c // modulus + 1, 1), None
+            ghosts += 1
+        else:  # quotient off by one, or an integer cycle labelled as a ghost
+            wrongs, expected = (quo - 1, quo + 1, None), quo
+            integers += 1
+        for wrong in wrongs:
+            with pytest.raises(DynamicsViolation) as caught:
+                replay_record(q, d, p.x, p.sigma, c, n0, modulus, precision, wrong)
+            got = caught.value
+            assert (got.kind, got.step, got.expected, got.observed) == (
+                "verdict", p.y, expected, wrong)
+    assert integers >= 8 and ghosts > 500
 
 
 @pytest.mark.parametrize("q,d", [(3, 1), (5, 1), (3, -1)])
 def test_replay_record_rejects_a_consistent_record_of_another_pattern(q, d):
-    # C and n0 agree with each other, so only the orbit replay can tell
+    # C, n0 and the quotient agree with each other, so only the orbit
+    # replay can tell
     by_cell = {}
-    for p, precision, c, n0, modulus in _replay_cases(q, d, 12):
-        by_cell.setdefault((p.x, p.y, precision), []).append((p, c, n0, modulus))
+    for p, precision, c, n0, modulus, quo in _replay_cases(q, d, 12):
+        by_cell.setdefault((p.x, p.y, precision), []).append((p, c, n0, modulus, quo))
     checked = 0
     for (x, _y, precision), records in by_cell.items():
-        for (p, c, n0, modulus), (other, *_rest) in zip(records, records[1:] + records[:1]):
+        for (p, c, n0, modulus, quo), (other, *_rest) in zip(records, records[1:] + records[:1]):
             if other.sigma == p.sigma:
                 continue
-            with pytest.raises(DynamicsViolation):
-                replay_record(q, d, x, other.sigma, c, n0, modulus, precision)
+            with pytest.raises(DynamicsViolation) as caught:
+                replay_record(q, d, x, other.sigma, c, n0, modulus, precision, quo)
+            assert caught.value.kind != "verdict"
             checked += 1
     assert checked > 500
 
@@ -133,12 +161,12 @@ def test_replay_record_accepts_what_the_traced_replay_closes(q, d):
     # from their own n0 with PadicInt; the int-only replay must accept a
     # record carrying exactly that n0, and see the same halving counts
     m = GeneralizedMap(q, d)
-    for p, precision, c, n0, modulus in _replay_cases(q, d, 12):
+    for p, precision, c, n0, modulus, quo in _replay_cases(q, d, 12):
         depth = max(precision, p.x + 2)
         trace = iterate_cycle(p, depth) if (q, d) == (3, 1) else general_iterate_cycle(m, p, depth)
         assert trace.closed and trace.step_valuations == p.steps()
         assert trace.m[0].residue & ((1 << precision) - 1) == n0
-        replay_record(q, d, p.x, p.sigma, c, n0, modulus, precision)
+        replay_record(q, d, p.x, p.sigma, c, n0, modulus, precision, quo)
 
 
 def test_verify_periodicity_examples():
@@ -199,7 +227,7 @@ def test_integer_verdicts_rejoin_the_classical_map():
         for y in range(1, x + 1):
             for p in _all_sigmas(x, y):
                 v = integrality_test(p)
-                if isinstance(v, IntegerCycle) and v.value >= 1 and is_admissible(p):
+                if isinstance(v, IntegerCycle) and v.value >= 1 and is_admissible(p.x, p.y):
                     n, word = v.value, ""
                     for _ in range(p.ell):
                         if n % 2:

@@ -14,12 +14,11 @@ from ghostcycles.generalized import (
     general_ghost_cycle,
     general_integer_oracle,
     general_integrality_test,
-    general_is_admissible,
     general_iterate_cycle,
     general_modulus,
     general_verify_periodicity,
 )
-from ghostcycles.patterns import ParityPattern, enumerate_by_length
+from ghostcycles.patterns import ParityPattern, enumerate_by_length, is_admissible
 
 FIVE = GeneralizedMap(5, 1)
 
@@ -71,12 +70,11 @@ def test_general_integer_oracle_examples():
 
 
 def test_admissibility_sign_flips_with_d():
-    p = ParityPattern(5, 2, (0, 1))
-    assert general_is_admissible(FIVE, p)  # 32 > 25
-    assert not general_is_admissible(GeneralizedMap(7, 1), p)  # 32 < 49
+    assert is_admissible(5, 2, 5, 1)  # 32 > 25
+    assert not is_admissible(5, 2, 7, 1)  # 32 < 49
     # for d < 0 a positive-integer cycle needs a negative modulus instead
-    assert general_is_admissible(GeneralizedMap(7, -1), p)
-    assert not general_is_admissible(GeneralizedMap(3, -1), p)
+    assert is_admissible(5, 2, 7, -1)
+    assert not is_admissible(5, 2, 3, -1)
 
 
 def test_specialization_agrees_with_base_modules_everywhere():
@@ -94,7 +92,7 @@ def test_five_n_plus_one_scan_confirms_known_cycles():
             for mid in combinations(range(1, x), y - 1):
                 p = ParityPattern(x, y, (0,) + mid)
                 v = general_integrality_test(FIVE, p)
-                if v != GHOST and v.value >= 1 and general_is_admissible(FIVE, p):
+                if v != GHOST and v.value >= 1 and is_admissible(p.x, p.y, FIVE.q, FIVE.d):
                     found[(x, y, p.sigma)] = v.value
     assert found[(5, 2, (0, 1))] == 1
     assert found[(7, 3, (0, 1, 2))] == 13

@@ -12,7 +12,6 @@ from ghostcycles.patterns import (
     enumerate_sigmas,
     is_admissible,
     length_cells,
-    validate,
 )
 
 
@@ -24,11 +23,11 @@ def binom_oracle(n, k):
 
 
 def test_validate_examples():
-    p = validate(2, 1, (0,))
+    p = ParityPattern(2, 1, (0,))
     assert p.ell == 3
-    assert validate(4, 2, (0, 1)) == ParityPattern(4, 2, (0, 1))
+    assert ParityPattern(4, 2, [0, 1]) == ParityPattern(4, 2, (0, 1))
     with pytest.raises(PatternError) as err:
-        validate(4, 2, (1, 2))
+        ParityPattern(4, 2, (1, 2))
     assert err.value.clause == "sigma[0] must be 0"
 
 
@@ -45,7 +44,7 @@ def test_validate_examples():
 )
 def test_validate_names_the_violated_clause(x, y, sigma, clause):
     with pytest.raises(PatternError) as err:
-        validate(x, y, sigma)
+        ParityPattern(x, y, sigma)
     assert err.value.clause == clause
 
 
@@ -57,9 +56,9 @@ def test_steps_sum_to_x_and_parity_word():
 
 
 def test_admissibility_examples():
-    assert is_admissible(ParityPattern(2, 1, (0,)))
-    assert not is_admissible(ParityPattern(3, 2, (0, 1)))
-    assert is_admissible(ParityPattern(4, 2, (0, 1)))
+    assert is_admissible(2, 1)
+    assert not is_admissible(3, 2)
+    assert is_admissible(4, 2)
 
 
 def test_admissibility_against_big_integer_oracle():
@@ -67,9 +66,15 @@ def test_admissibility_against_big_integer_oracle():
         three = 3**y
         for x in range(1, 65):
             assert (1 << x) != three  # no power coincidence in range
-            if y <= x:  # pattern constructible only when y <= x
-                got = is_admissible(ParityPattern(x, y, tuple(range(y))))
-                assert got == ((1 << x) > three)
+            assert is_admissible(x, y) == ((1 << x) > three)
+
+
+@given(st.integers(1, 200), st.integers(1, 120), st.sampled_from([3, 5, 7, 9, 11]),
+       st.sampled_from([-5, -3, -1, 1, 3, 5]))
+def test_admissibility_is_exact_and_sign_aware_in_d(x, y, q, d):
+    # oracle: the sign of the exact modulus 2**x - q**y
+    gap = 2**x - q**y
+    assert is_admissible(x, y, q, d) == (gap > 0 if d > 0 else gap < 0)
 
 
 def test_enumerate_examples():
@@ -90,7 +95,7 @@ def test_enumeration_is_lexicographic_and_revalidates():
     seen = [p.sigma for p in enumerate_sigmas(3, 6)]
     assert seen == sorted(seen)
     for sigma in seen:
-        validate(6, 3, sigma)
+        ParityPattern(6, 3, sigma)
 
 
 def test_by_length_smallest_cases():
