@@ -332,6 +332,8 @@ def cmd_scan(args) -> int:
 
 def cmd_fibers(args) -> int:
     _check_format(args, ("csv",), "fibers")
+    if args.x_min > args.x_max:
+        raise ValueError(f"--x-min {args.x_min} exceeds --x-max {args.x_max}")
     rows = ["y,x,period_exact,period_bruteforce,agree"]
     for x in range(args.x_min, args.x_max + 1):
         if not is_admissible(x, args.y):
@@ -445,16 +447,16 @@ def build_parser() -> _Parser:
     p_scan.set_defaults(func=cmd_scan)
 
     p_fib = sub.add_parser("fibers", parents=[common], help="fiber-period table (CSV)")
-    p_fib.add_argument("--y", type=int, required=True)
-    p_fib.add_argument("--x-min", type=int, required=True)
+    p_fib.add_argument("--y", type=_int_at_least(1), required=True)
+    p_fib.add_argument("--x-min", type=_int_at_least(0), required=True)
     p_fib.add_argument("--x-max", type=int, required=True)
-    p_fib.add_argument("--scan-bound", type=int, default=None,
+    p_fib.add_argument("--scan-bound", type=_int_at_least(1), default=None,
                        help="also run the brute-force oracle up to this bound")
     p_fib.set_defaults(func=cmd_fibers)
 
     p_wit = sub.add_parser("witness", parents=[common], help="refute a claimed fiber-period bound")
-    p_wit.add_argument("--y", type=int, required=True)
-    p_wit.add_argument("--bound", "-M", type=int, required=True, dest="bound")
+    p_wit.add_argument("--y", type=_int_at_least(1), required=True)
+    p_wit.add_argument("--bound", "-M", type=_int_at_least(1), required=True, dest="bound")
     p_wit.set_defaults(func=cmd_witness)
 
     p_den = sub.add_parser("density-probe", parents=[common],

@@ -24,6 +24,18 @@ transient and requires the candidate period to repeat across at least
 half of the remaining tail, which makes a scan bound of 3x the true
 period sufficient for arithmetic-progression-like fibers.  When no
 candidate qualifies it raises Inconclusive rather than guessing.
+
+The detector returns the least p <= tlen // 2 for which bit i of the
+tail equals bit i + p at every i < tlen - p, where tlen is the tail's
+length: exactly what trying every p from 1 up with a shift-and-xor
+would return, but it tries far fewer.  An all-zero tail has period 1.
+Otherwise let f be the tail's lowest set bit, and let p be a period.
+If f + p >= tlen, then f - p >= tlen - 2p >= 0 and the compared pair
+(f - p, f) differs, because no bit below f is set.  So f + p < tlen,
+the pair (f, f + p) is compared, and bit f + p is set: p is the
+distance from f to a later set bit.  Only those distances are tested
+with the shift-and-xor, in increasing order, so a fiber of period P
+costs one test where the exhaustive search made P of them.
 """
 
 from __future__ import annotations
@@ -159,16 +171,31 @@ def fiber_period_exact(y: int, x: int) -> FiberPeriodRecord:
 def _minimal_eventual_period(bits: int, length: int) -> int:
     """Minimal p such that the indicator window repeats with gap p on its
     tail.  The first third is treated as transient; a candidate must be no
-    longer than half the tail so that it is witnessed at least twice."""
+    longer than half the tail so that it is witnessed at least twice.
+
+    Only the distances from the tail's first set bit to its later set bits
+    are tested (see the module docstring); the result is the exhaustive
+    search's."""
     tail_from = length // 3
-    tail = bits >> tail_from
     tlen = length - tail_from
-    for p in range(1, tlen // 2 + 1):
-        window = (1 << (tlen - p)) - 1
-        if ((tail ^ (tail >> p)) & window) == 0:
-            return p
+    tail = (bits >> tail_from) & ((1 << tlen) - 1)
+    most = tlen // 2
+    if tail:
+        first = (tail & -tail).bit_length() - 1
+        rest = tail >> (first + 1)
+        p = 0
+        while rest:
+            gap = (rest & -rest).bit_length()
+            p += gap  # the distance from first to the next set bit
+            if p > most:
+                break
+            if ((tail ^ (tail >> p)) & ((1 << (tlen - p)) - 1)) == 0:
+                return p
+            rest >>= gap
+    elif most >= 1:
+        return 1
     raise InconclusivePeriod(
-        f"no eventual period of at most {tlen // 2} detected in a window of {length}"
+        f"no eventual period of at most {most} detected in a window of {length}"
     )
 
 

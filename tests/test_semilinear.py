@@ -4,6 +4,7 @@ unbounded-period witness."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghostcycles.semilinear import (
     DimensionMismatch,
@@ -11,6 +12,7 @@ from ghostcycles.semilinear import (
     InconclusivePeriod,
     LinearSet,
     SemilinearSet,
+    _minimal_eventual_period,
     dy_membership,
     fiber_eventual_period,
     fiber_indicator,
@@ -165,3 +167,66 @@ def test_exact_periods_strictly_increase_in_x():
             periods.append(fiber_period_exact(y, x).period)
             x += 1
         assert periods == sorted(set(periods))
+
+
+def naive_minimal_eventual_period(bits, length):
+    """The exhaustive detector, kept as the oracle: every p from 1 up."""
+    tail_from = length // 3
+    tail = bits >> tail_from
+    tlen = length - tail_from
+    for p in range(1, tlen // 2 + 1):
+        window = (1 << (tlen - p)) - 1
+        if ((tail ^ (tail >> p)) & window) == 0:
+            return p
+    raise InconclusivePeriod(
+        f"no eventual period of at most {tlen // 2} detected in a window of {length}"
+    )
+
+
+@st.composite
+def period_windows(draw):
+    """(bits, length) pairs, weighted towards the cases the pruning splits on."""
+    kind = draw(st.sampled_from(
+        ["short", "random", "zero", "single", "late", "noisy", "semilinear"]))
+    if kind == "short":
+        length = draw(st.integers(1, 3))
+        return draw(st.integers(0, (1 << (length + 2)) - 1)), length
+    length = draw(st.integers(0, 200))
+    start, tlen = length // 3, length - length // 3  # the detector's transient and tail
+    if kind == "random":
+        return draw(st.integers(0, (1 << (length + 3)) - 1)), length
+    if kind == "zero":  # set bits only in the transient, or past the window
+        transient = draw(st.integers(0, (1 << start) - 1))
+        return transient | (draw(st.integers(0, 3)) << length), length
+    if kind == "single" and tlen:
+        return 1 << (start + draw(st.integers(0, tlen - 1))), length
+    if kind == "late" and tlen > 2:  # first set bit past the middle of the tail
+        first = draw(st.integers(tlen // 2 + 1, tlen - 1))
+        above = draw(st.integers(0, (1 << (tlen - first)) - 1))
+        return (above | 1) << (start + first), length
+    if kind == "noisy" and length:
+        period = draw(st.integers(1, max(1, length // 2)))
+        word = draw(st.integers(0, (1 << period) - 1))
+        bits = sum(((word >> (i % period)) & 1) << i for i in range(length))
+        for flip in draw(st.lists(st.integers(0, length - 1), max_size=3)):
+            bits ^= 1 << flip
+        return bits, length
+    # "semilinear", and the kinds above when the window is too short for them
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    bound = draw(st.integers(0, 200))
+    return fiber_indicator(random_semilinear_set(rng), draw(st.integers(0, 12)), bound), bound + 1
+
+
+def _period_or_inconclusive(detect, bits, length):
+    try:
+        return detect(bits, length)
+    except InconclusivePeriod as exc:
+        return ("inconclusive", str(exc))
+
+
+@settings(max_examples=800, deadline=None)
+@given(period_windows())
+def test_pruned_period_detector_matches_the_exhaustive_search(window):
+    bits, length = window
+    assert _period_or_inconclusive(_minimal_eventual_period, bits, length) == \
+        _period_or_inconclusive(naive_minimal_eventual_period, bits, length)
