@@ -4,23 +4,26 @@ witnesses, and the exploratory density probe.
 Exit codes: 0 success, 1 usage error, 2 dynamics violation (should never
 happen; a genuine bug if it does), 3 I/O failure.
 
+Every command runs in the calling process.  `--jobs` is accepted and
+validated (>= 1) for compatibility, and has no effect.
+
 Output discipline: machine-readable streams (JSONL for scans, CSV for
-fiber tables) are byte-identical for identical flags regardless of
---jobs.  Anything nondeterministic (wall time) goes to the summary on
-the other stream, never into the records.
+fiber tables) are byte-identical for identical flags.  Anything
+nondeterministic (wall time) goes to the summary on the other stream,
+never into the records.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing, nullcontext
+# unused: perfbench/layers.py swaps this name, and without it six traced metrics read null
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
+from contextlib import nullcontext
 from math import comb
 
 from . import kernel
@@ -66,7 +69,7 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv", "text"), default=None)
     common.add_argument("--out", default=None, help="write records here instead of stdout")
     common.add_argument("--jobs", type=_int_at_least(1), default=1,
-                        help="scan worker processes, at most one per cell and CPUs - 1 in all")
+                        help="accepted for compatibility; every command runs in one process")
     common.add_argument("--seed", type=int, default=0, help="seed for verification sampling")
     return common
 
@@ -79,10 +82,14 @@ def _parse_sigma(text: str) -> tuple[int, ...]:
 
 
 def _parse_map(text: str) -> GeneralizedMap:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"--map expects q,d (got {text!r})")
-    return GeneralizedMap(int(parts[0]), int(parts[1]))
+    try:
+        q, d = map(int, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects two integers q,d, got {text!r}")
+    try:
+        return GeneralizedMap(q, d)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _check_format(args, written: tuple[str, ...], command: str) -> None:
@@ -228,8 +235,8 @@ def _cell_worker(cell):
                 nxt = next(samples, size)
                 at = nxt - i
         if len(lines) >= _BLOCK_LINES:
-            # bounded blocks: the parent encodes one block at a time as it
-            # writes, never a copy of a whole cell
+            # bounded blocks: the writer encodes one block at a time, never
+            # a copy of a whole cell
             blocks.append("\n".join(lines))
             written += len(lines)
             lines.clear()
@@ -274,38 +281,20 @@ def cmd_scan(args) -> int:
         local = tuple(i - offset for i in sampled[lo:hi])
         cells.append((x, y, q, d, precision, include_map, local))
         offset, lo = offset + size, hi
-    # The parent receives and writes every byte the workers produce, so it
-    # keeps a CPU of its own.  With as many workers as CPUs, workers and
-    # parent oversubscribe them and the scan's speed swings with whatever
-    # else the host runs; one worker would only add the copy to the parent,
-    # so below two workers the scan runs in this process.
-    workers = min(args.jobs, len(cells), (os.cpu_count() or 1) - 1)
 
     integral: list[tuple[int, int, tuple[int, ...], int, bool]] = []
     admissible_count = 0
 
     def blocks():
         nonlocal admissible_count
-        if workers > 1:
-            pool = ProcessPoolExecutor(max_workers=workers)
-            # one cell per task keeps a worker's peak memory at one cell
-            results = pool.map(_cell_worker, cells, chunksize=1)
-        else:
-            pool = None
-            results = map(_cell_worker, cells)
-        try:
-            for cell_blocks, admissible, hits in results:
-                admissible_count += admissible
-                integral.extend(hits)
-                cell_blocks.reverse()
-                while cell_blocks:
-                    yield cell_blocks.pop()  # free each block once it is written
-        finally:
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
+        for cell_blocks, admissible, hits in map(_cell_worker, cells):
+            admissible_count += admissible
+            integral.extend(hits)
+            cell_blocks.reverse()
+            while cell_blocks:
+                yield cell_blocks.pop()  # free each block once it is written
 
-    with closing(blocks()) as stream:
-        _emit(stream, args.out)
+    _emit(blocks(), args.out)
     elapsed = time.perf_counter() - started
 
     summary_to = sys.stdout if args.out else sys.stderr
@@ -419,6 +408,10 @@ def cmd_density_probe(args) -> int:
 
 def cmd_general(args) -> int:
     if args.ell_max is not None:
+        single = [f"--{name}" for name in ("x", "y", "sigma") if getattr(args, name) is not None]
+        if single:
+            raise ValueError(f"--ell-max (scan) cannot be combined with {', '.join(single)}"
+                             " (single pattern)")
         return cmd_scan(args)
     if args.x is not None and args.y is not None and args.sigma is not None:
         return cmd_ghost(args)

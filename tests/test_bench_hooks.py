@@ -1,0 +1,49 @@
+"""The benchmark's traced run resolves every hook it installs.
+
+`perfbench/layers.py` wraps module-level names of the package by name.
+When one of them is renamed or removed, the traced run still exits 0
+but its per-layer metrics read null.  These runs catch that here."""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+_spec = importlib.util.spec_from_file_location("perfbench_layers", PERFBENCH / "layers.py")
+layers = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(layers)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scan", "--ell-max", "8", "--jobs", "2", "--out", "{out}"],
+     ["general", "--map", "5,1", "--ell-max", "8", "--verify-sample", "20", "--jobs", "1",
+      "--out", "{out}"],
+     ["fibers", "--y", "2", "--x-min", "4", "--x-max", "6", "--scan-bound", "300"]],
+    ids=["scan", "general", "fibers"],
+)
+def test_traced_run_resolves_every_hook(argv, tmp_path):
+    spans = tmp_path / "spans.json"
+    cli_args = [arg.format(out=tmp_path / "out.jsonl") for arg in argv]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "traced_cli.py"), str(spans), *cli_args],
+                          cwd=PERFBENCH, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(spans.read_text())
+    assert doc["missing"] == []
+    values = layers.layer_metrics(doc)
+    assert [name for name, value in values.items() if value is None] == []
+    assert abs(values["trace.unattributed_s"]) <= 1e-6
+
+
+def test_benchmark_reads_the_backend_name():
+    from ghostcycles import kernel
+
+    assert isinstance(kernel.backend_name(), str)

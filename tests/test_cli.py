@@ -1,10 +1,8 @@
-"""CLI behavior: rendering, schemas, exit codes, determinism across job
-counts, and agreement with the library routes."""
+"""CLI behavior: rendering, schemas, exit codes, and agreement with the
+library routes."""
 
 import inspect
 import json
-import multiprocessing
-import os
 import random
 import subprocess
 import sys
@@ -14,7 +12,6 @@ import pytest
 from ghostcycles import _kernel_py, cli
 from ghostcycles.cli import main
 from ghostcycles.cycle import ghost_cycle
-from ghostcycles.dynamics import DynamicsViolation
 from ghostcycles.generalized import GeneralizedMap, general_ghost_cycle
 from ghostcycles.padic import _inverse_mod_pow2
 from ghostcycles.patterns import ParityPattern, enumerate_by_length, length_cells
@@ -123,13 +120,6 @@ def test_scan_five_n_plus_one(capsys, tmp_path):
     assert by_pattern[(4, 2, (0, 1))]["pattern"]["admissible"] is False
 
 
-def test_scan_bytes_identical_across_jobs(capsys, tmp_path):
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    assert run(["scan", "--ell-max", "14", "--jobs", "1", "--out", str(a)], capsys)[0] == 0
-    assert run(["scan", "--ell-max", "14", "--jobs", "3", "--out", str(b)], capsys)[0] == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_general_map_31_scan_equals_base_scan(capsys, tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     assert run(["scan", "--ell-max", "10", "--out", str(a)], capsys)[0] == 0
@@ -153,8 +143,7 @@ def test_scan_records_equal_library_records(capsys, tmp_path):
     ids=["3n+1", "5n+1", "3n-1", "3n+1-precision-5", "3n-1-precision-5",
          "3n+1-precision-96", "5n+1-precision-96"],
 )
-def test_scan_template_is_json_dumps_of_the_library_record(argv, precision, capsys, tmp_path,
-                                                           monkeypatch):
+def test_scan_template_is_json_dumps_of_the_library_record(argv, precision, capsys, tmp_path):
     # the expected stream is built from the cycle modules, not the kernel
     m = GeneralizedMap(*map(int, argv[1].split(","))) if argv else None
     expected = []
@@ -169,14 +158,11 @@ def test_scan_template_is_json_dumps_of_the_library_record(argv, precision, caps
     if precision != 64:
         # replay every record; at precision 5 each with x >= 4 takes the lifted replay
         base += ["--precision", str(precision), "--verify-sample", "100000"]
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # --jobs 2 runs a pool on any host
-    one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
-    assert run([*base, "--jobs", "1", "--out", str(one)], capsys)[0] == 0
-    assert run([*base, "--jobs", "2", "--out", str(two)], capsys)[0] == 0
+    out_path = tmp_path / "scan.jsonl"
+    assert run([*base, "--jobs", "2", "--out", str(out_path)], capsys)[0] == 0  # --jobs is a no-op
     code, out, _ = run(base, capsys)
     assert code == 0
-    assert one.read_bytes() == expected
-    assert two.read_bytes() == expected
+    assert out_path.read_bytes() == expected
     assert out.encode() == expected
 
 
@@ -214,57 +200,25 @@ def test_unwritable_scan_out_fails_before_the_kernel_runs(capsys, monkeypatch):
     assert "i/o error" in err
 
 
-def test_scan_workers_are_clamped_to_cells_and_cpus(capsys, monkeypatch):
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", NoPool)
-    # one cell: no pool whatever --jobs says
-    assert run(["scan", "--ell-max", "2", "--jobs", "4"], capsys)[0] == 0
-    # two CPUs: one is the parent's, and one worker runs in-process
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert run(["scan", "--ell-max", "10", "--jobs", "4"], capsys)[0] == 0
-    # one CPU: no pool either
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert run(["scan", "--ell-max", "10", "--jobs", "4"], capsys)[0] == 0
+# The scan runs in one process; this one-value parametrization only keeps
+# the "in-process" test ids of the tests below unchanged.
+IN_PROCESS = pytest.mark.parametrize("jobs", [pytest.param("1", id="in-process")])
 
 
-def _violation_with_this_pid(*args):
-    raise DynamicsViolation(0, 1, os.getpid())
-
-
-FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                               reason="pool workers inherit patched functions only when forked")
-
-
-@FORK_ONLY
-def test_dynamics_violation_in_a_pool_worker_exits_two(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "replay_record", _violation_with_this_pid)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    code, _, err = run(["scan", "--ell-max", "12", "--jobs", "2", "--verify-sample", "50"], capsys)
-    assert code == 2
-    assert "dynamics violation: valuation violation at odd step 0: expected 1, observed " in err
-    assert f"observed {os.getpid()}" not in err  # raised in a worker, not in this process
-
-
-@pytest.mark.parametrize("jobs", [pytest.param("1", id="in-process"),
-                                  pytest.param("2", id="pool", marks=FORK_ONLY)])
+@IN_PROCESS
 @pytest.mark.parametrize("argv", [[], ["--map", "3,-1"], ["--precision", "5"],
                                   ["--verify-sample", "100", "--seed", "7"]],
                          ids=["3n+1", "3n-1", "precision-5", "sample-100"])
 def test_scan_replays_exactly_the_records_it_writes(jobs, argv, capsys, tmp_path, monkeypatch):
-    calls_path = tmp_path / "calls.jsonl"
+    calls = []
     real = cli.replay_record
 
     def spy(q, d, x, sigma, c, n0, modulus, precision, quotient):
-        with open(calls_path, "a", encoding="utf-8") as fh:  # pool workers append too
-            quo = None if quotient is None else str(quotient)
-            fh.write(json.dumps([x, list(sigma), str(c), str(n0), str(modulus), quo]) + "\n")
+        quo = None if quotient is None else str(quotient)
+        calls.append([x, list(sigma), str(c), str(n0), str(modulus), quo])
         real(q, d, x, sigma, c, n0, modulus, precision, quotient)
 
     monkeypatch.setattr(cli, "replay_record", spy)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     out_path = tmp_path / "scan.jsonl"
     code, _, _ = run(["scan", "--ell-max", "12", "--verify-sample", "1000", *argv,
                       "--jobs", jobs, "--out", str(out_path)], capsys)
@@ -279,23 +233,16 @@ def test_scan_replays_exactly_the_records_it_writes(jobs, argv, capsys, tmp_path
     sampled = written  # 1000 covers every pattern of length <= 12
     if "--seed" in argv:
         sampled = [written[i] for i in sorted(random.Random(7).sample(range(232), 100))]
-    calls = [json.loads(line) for line in calls_path.read_text().splitlines()]
-    if jobs == "1":
-        assert calls == sampled  # one call per sampled line, in line order
-    else:
-        # cells finish in any order across workers; each pattern is unique
-        assert sorted(calls) == sorted(sampled)
+    assert calls == sampled  # one call per sampled line, in line order
 
 
 def _wrong_inverse(a, bits):
     return _inverse_mod_pow2(a, bits) ^ 2  # still odd, so every written n0 is off
 
 
-@pytest.mark.parametrize("jobs", [pytest.param("1", id="in-process"),
-                                  pytest.param("2", id="pool", marks=FORK_ONLY)])
+@IN_PROCESS
 def test_scan_with_a_corrupted_n0_exits_two(jobs, capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "_inverse_mod_pow2", _wrong_inverse)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     code, _, err = run(["scan", "--ell-max", "12", "--verify-sample", "1000", "--jobs", jobs,
                         "--out", str(tmp_path / "scan.jsonl")], capsys)
     assert code == 2
@@ -311,12 +258,10 @@ def _cell_worker_with(old, new):
     return namespace["_cell_worker"]
 
 
-@pytest.mark.parametrize("jobs", [pytest.param("1", id="in-process"),
-                                  pytest.param("2", id="pool", marks=FORK_ONLY)])
+@IN_PROCESS
 def test_scan_with_an_integer_value_off_by_one_exits_two(jobs, capsys, monkeypatch, tmp_path):
     mutant = _cell_worker_with("quo = c // modulus\n", "quo = c // modulus + 1\n")
     monkeypatch.setattr(cli, "_cell_worker", mutant)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     out_path = tmp_path / "scan.jsonl"
     base = ["scan", "--ell-max", "12", "--jobs", jobs, "--out", str(out_path)]
     # unverified, the mutant writes 2 for the trivial cycle through 1 and exits 0
@@ -367,6 +312,33 @@ def test_general_needs_some_mode(capsys):
     code, _, err = run(["general", "--map", "5,1"], capsys)
     assert code == 1
     assert "either" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--x", "4"), ("--y", "2"), ("--sigma", "0,1")])
+def test_general_scan_rejects_single_pattern_flags(flag, value, capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "_cell_worker", None)  # any work would fail on the missing name
+    out_path = tmp_path / "out"
+    code, out, err = run(["general", "--map", "5,1", "--ell-max", "3", flag, value,
+                          "--out", str(out_path)], capsys)
+    assert code == 1
+    assert f"--ell-max (scan) cannot be combined with {flag} (single pattern)" in err
+    assert out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize("command", [["scan", "--ell-max", "4"], ["general", "--ell-max", "4"]],
+                         ids=["scan", "general"])
+@pytest.mark.parametrize(
+    "text,message",
+    [("4,1", "multiplier q must be an odd integer >= 3, got 4"),
+     ("3,0", "offset d must be odd and nonzero, got 0"),
+     ("3", "expects two integers q,d, got '3'"),
+     ("x,1", "expects two integers q,d, got 'x,1'")],
+)
+def test_bad_map_names_its_reason(command, text, message, capsys):
+    code, out, err = run([*command, "--map", text], capsys)
+    assert code == 1
+    assert f"error: argument --map: {message}\n" in err
+    assert "_parse_map" not in err and out == ""
 
 
 def test_fibers_csv(capsys):

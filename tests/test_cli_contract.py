@@ -1,12 +1,11 @@
-"""The scan's input contract, differentially: random argument vectors,
-valid and invalid, must give the same exit code and the same bytes in one
-process and in a pool of two workers."""
+"""The CLI's input contracts: random argument vectors, valid and invalid.
+A valid vector exits 0 with the output it promises; an invalid one exits 1
+and writes nothing."""
 
 import io
 import json
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 
@@ -46,78 +45,108 @@ class _Flags:
         return [self.command] + [part for flag in order for part in flag]
 
 
+def _run(argv, to_file):
+    """Run argv, with --out in a fresh directory when `to_file`; return the
+    exit code, stdout and stderr lines, and the --out file's lines (None
+    when no file was written)."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out_path = os.path.join(tmp, "out")
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main([*argv] + (["--out", out_path] if to_file else []))
+            except SystemExit as exc:  # argparse-level usage errors
+                code = exc.code
+        written = None
+        if os.path.exists(out_path):
+            with open(out_path, encoding="utf-8") as fh:
+                written = fh.read().splitlines()
+    return code, out.getvalue().splitlines(), err.getvalue().splitlines(), written
+
+
 @st.composite
 def scan_vectors(draw):
-    """(argv without --jobs/--out, whether it is valid, ell_max, --out given).
-
-    Valid vectors start pools, so they must not be rare (see _Flags)."""
+    """(argv without --out, whether it is valid, ell_max) for `scan` or
+    for `general` in scan mode."""
     f = _Flags(draw, draw(st.sampled_from(["scan", "general"])))
     ell = f.option("--ell-max", range(2, 11), [1])
     if f.command == "scan":
         f.option("--map", [None, *MAPS], BAD_MAPS)
     else:
         f.option("--map", MAPS, [*BAD_MAPS, None])  # general needs --map
+        # a single-pattern flag does not mix with --ell-max
+        flag, value = draw(st.sampled_from([("--x", 4), ("--y", 2), ("--sigma", "0,1")]))
+        f.option(flag, [None], [value])
     f.option("--precision", [None, 1, 2, 5, 17, 64, 96], [0])
     f.option("--format", [None, "json"], ["csv", "text"])
     f.option("--verify-sample", [None, 0, 3, 1000], [-1])
+    f.option("--jobs", [None, 1, 2, 7], [0, -1])
     f.option("--seed", [None, 0, 7])
-    return f.argv(), not f.bad, ell, draw(st.booleans())
+    return f.argv(), not f.bad, ell
 
 
-def _run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse-level usage errors
-            code = exc.code
-
-    def steady(text):  # the wall time is the one field allowed to differ
-        return [line for line in text.splitlines() if not line.startswith("wall_time=")]
-
-    return code, steady(out.getvalue()), steady(err.getvalue())
-
-
-@settings(max_examples=30, deadline=None)
-@given(scan_vectors())
-def test_scan_contract_is_the_same_in_process_and_in_a_pool(vector):
-    argv, valid, ell, to_file = vector
+@settings(max_examples=40, deadline=None)
+@given(scan_vectors(), st.booleans())
+def test_scan_contract(vector, to_file):
+    argv, valid, ell = vector
     event("valid" if valid else "invalid")
-    pools = []
+    with pytest.MonkeyPatch.context() as mp:
+        if not valid:  # rejected before any work: a cell would fail here
+            mp.setattr(cli, "_cell_worker", None)
+        code, out, _err, written = _run(argv, to_file)
+    if not valid:
+        assert code == 1
+        assert out == [] and written is None
+        return
+    assert code == 0
+    records = written if to_file else out
+    cells = length_cells(ell)
+    assert len(records) == sum(comb(x - 1, y - 1) for _ell, y, x in cells)
+    assert all(line.startswith('{"pattern":') for line in records)
 
-    class CountingPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs["max_workers"])
-            super().__init__(*args, **kwargs)
 
-    runs = {}
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "ProcessPoolExecutor", CountingPool)
-        mp.setattr(os, "cpu_count", lambda: 3)  # --jobs 2 may start a pool on any host
-        for jobs in ("1", "2"):
-            out_path = os.path.join(tmp, f"jobs{jobs}.jsonl")
-            full = [*argv, "--jobs", jobs] + (["--out", out_path] if to_file else [])
-            pools.clear()
-            code, out, err = _run(full)
-            written = None
-            if os.path.exists(out_path):
-                with open(out_path, "rb") as fh:
-                    written = fh.read()
-            runs[jobs] = (code, out, err, written, list(pools))
+@st.composite
+def ghost_vectors(draw):
+    """(argv without --out, whether it is valid, x, sigma) for `ghost`, or
+    for `general --map` on one pattern.  An out-of-contract sigma does not
+    start at 0, does not increase strictly, has an entry >= x, or has the
+    wrong length; an out-of-contract precision is at most x + 1."""
+    f = _Flags(draw, draw(st.sampled_from(["ghost", "general"])))
+    if f.command == "general":
+        f.option("--map", MAPS)
+    x = f.option("--x", range(1, 11))
+    y = f.option("--y", range(1, x + 1))
+    sigma = [0, *sorted(draw(st.permutations(range(1, x)))[:y - 1])]
+    bad_sigmas = [[s + 1 for s in sigma], [*sigma[:-1], x + draw(st.integers(0, 3))],
+                  [*sigma, sigma[-1] + 1]]
+    if y > 1:
+        bad_sigmas += [[*sigma[:-1], sigma[-2]], sigma[:-1]]
+    f.option("--sigma", [",".join(map(str, sigma))],
+             [",".join(map(str, bad)) for bad in bad_sigmas])
+    f.option("--precision", [None, x + 2, x + 3, 64, 96], [1, x, x + 1])
+    f.option("--format", [None, "text", "json"], ["csv"])
+    return f.argv(), not f.bad, x, sigma
 
-    code, out, err, written, pools_one = runs["1"]
-    assert code == (0 if valid else 1)
-    assert pools_one == []
-    assert runs["2"][:4] == runs["1"][:4]
-    cells = list(length_cells(ell)) if ell >= 2 else []
-    # the pool side must really be a pool, or the comparison checks nothing
-    assert runs["2"][4] == ([2] if valid and len(cells) > 1 else [])
-    if valid:
-        records = written.decode().splitlines() if to_file else out
-        assert len(records) == sum(comb(x - 1, y - 1) for _ell, y, x in cells)
-        assert all(line.startswith('{"pattern":') for line in records)
+
+@settings(max_examples=40, deadline=None)
+@given(ghost_vectors(), st.booleans())
+def test_ghost_contract(vector, to_file):
+    argv, valid, x, sigma = vector
+    event("valid" if valid else "invalid")
+    code, out, _err, written = _run(argv, to_file)
+    if not valid:
+        assert code == 1
+        assert out == [] and written is None
+        return
+    assert code == 0
+    lines = written if to_file else out
+    if "json" in argv:
+        valuations = json.loads(lines[0])["trace"]["valuations"]
     else:
-        assert written is None and out == []
+        trace = next(line for line in lines if line.startswith("trace: valuations="))
+        valuations = [int(v) for v in trace.split()[1].split("=")[1].split(",")]
+    steps = [b - a for a, b in zip(sigma, sigma[1:])] + [x - sigma[-1]]
+    assert valuations == steps
 
 
 @st.composite
@@ -146,17 +175,12 @@ def test_fibers_and_witness_contract(vector, to_file):
     event("valid" if valid else "invalid")
     flags = dict(zip(argv[1::2], argv[2::2]))
     y = int(flags["--y"])
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp:
         if not valid:  # rejected before any work: a row or witness would fail here
             for name in ("fiber_period_exact", "fiber_period_bruteforce",
                          "nonsemilinearity_witness"):
                 mp.setattr(cli, name, None)
-        out_path = os.path.join(tmp, "out")
-        code, out, err = _run([*argv] + (["--out", out_path] if to_file else []))
-        written = None
-        if os.path.exists(out_path):
-            with open(out_path, encoding="utf-8") as fh:
-                written = fh.read().splitlines()
+        code, out, err, written = _run(argv, to_file)
 
     if not valid:
         assert code == 1

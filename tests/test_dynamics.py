@@ -1,7 +1,6 @@
 """2-adic map steps, forced valuations, cycle closure, and the classical
 integer oracle."""
 
-import pickle
 import random
 from itertools import combinations
 
@@ -53,16 +52,6 @@ def test_iterate_cycle_examples():
     t = iterate_cycle(ParityPattern(6, 3, (0, 2, 4)), 32)
     assert [m.residue for m in t.m] == [1, 1, 1, 1]
     assert t.step_valuations == (2, 2, 2)
-
-
-def test_dynamics_violation_survives_pickling():
-    # a violation raised in a scan worker process crosses back by pickle
-    for exc in (DynamicsViolation(3, 2, 1), DynamicsViolation(5, 0, None, kind="closure")):
-        back = pickle.loads(pickle.dumps(exc))
-        assert type(back) is DynamicsViolation
-        assert (back.step, back.expected, back.observed, back.kind) == (
-            exc.step, exc.expected, exc.observed, exc.kind)
-        assert str(back) == str(exc)
 
 
 def test_iterate_cycle_needs_headroom():
