@@ -16,13 +16,10 @@ never into the records.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 import time
 from bisect import bisect_left
-# unused: perfbench/layers.py swaps this name, and without it six traced metrics read null
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from contextlib import nullcontext
 from math import comb
 
@@ -42,6 +39,17 @@ from .semilinear import (
 )
 
 COLLATZ_QD = (3, 1)
+
+
+def __getattr__(name: str):
+    # No command uses a process pool, so concurrent.futures (and with it
+    # multiprocessing) is imported only when this name is asked for:
+    # perfbench/layers.py swaps it for a traced subclass, and without it
+    # six traced metrics read null.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,6 +149,8 @@ def _render_ghost_text(g, t, q: int | None = None, d: int | None = None) -> list
 
 
 def cmd_ghost(args) -> int:
+    import json
+
     _check_format(args, ("text", "json"), "ghost")
     p = ParityPattern(args.x, args.y, _parse_sigma(args.sigma))
     qd = getattr(args, "map", None)
@@ -164,20 +174,38 @@ def cmd_ghost(args) -> int:
 
 
 _BLOCK_LINES = 4096
+_VERIFY_SAMPLE = 8  # --verify-sample when not given
+# The leaf of a scan cell's walk writes the last _TAIL_DEPTH sigma entries
+# from a per-cell table.  Building every line of a 3n+1 scan to ell 28 took
+# 0.85 s of CPU with a one-entry leaf, 0.69 s at depth 2 and 0.59 s at
+# depth 3 (median of four best-of-7 runs, 2 vCPUs, Python 3.11); depth 4
+# was within the noise of depth 3, with tables up to four times larger.
+_TAIL_DEPTH = 3
 
 
 def _cell_worker(cell):
     """One cell of a scan: its JSONL lines, each record built once, and
     the replay of its sampled records.
 
-    Sigma is walked in lexicographic order by recursion on the prefix.
-    Each level carries the prefix's part of C, of its n0 residue and of
-    its text, so a record costs one add, one add-and-mask, one division
-    test and one f-string.  Every field is an int or a digit string, so
-    the fixed template writes the bytes of json.dumps(ghost_record(...),
-    separators=(",", ":")) with nothing to escape.  `verify` holds sorted
-    cell-local record indices; each of those records is replayed from
-    the very sigma, C and n0 just written.
+    Sigma is walked in lexicographic order by recursion on its prefix,
+    every entry but the last `depth` = min(_TAIL_DEPTH, y - 1).  Each level
+    carries the prefix's part of C, of its n0 residue and of its text.
+    Once per cell, a table holds every strictly increasing tail of the
+    last `depth` entries, with its text and its parts of C and n0, built
+    level by level in time proportional to its size.  The tails that
+    complete a prefix whose last entry is lo - 1 are exactly the table's
+    rows from offset[lo] on, so a leaf writes all of its records in one list
+    comprehension: per record one add, one add-and-mask, one exact
+    division test and one f-string, with no Python call or slice of its
+    own.  At ell 28 a leaf holds about 18 records, where a one-entry
+    leaf held about 2.  Integral records (the comprehension leaves None)
+    and sampled records are then rewritten one by one by `record`.
+
+    Every field is an int or a digit string, so the fixed template writes
+    the bytes of json.dumps(ghost_record(...), separators=(",", ":")) with
+    nothing to escape.  `verify` holds sorted cell-local record indices;
+    each of those records is replayed from the very sigma, C, n0 and
+    quotient that its written line is built from.
 
     Returns the lines as blocks of at least _BLOCK_LINES lines (the last
     may be shorter), the number of admissible patterns, and the
@@ -203,37 +231,62 @@ def _cell_worker(cell):
         scale = d * q ** (y - 1 - k)
         sep = "," if k < y - 1 else mid
         levels.append([(f"{s}{sep}", scale << s, ((scale << s) * inv) & mask) for s in range(x)])
-    leaf = levels[-1]
-    stop = x if y > 1 else 1  # sigma_0 is always 0
-    chosen = [0] * y
+    # the table of tails: every strictly increasing run of the last `depth`
+    # entries, lexicographic, as (text, C term, n0 term) rows; tails[r] is
+    # row r's entries and offset[v] the first row whose first entry is >= v.
+    # Built from the last level up, each row once from a row of the level
+    # below; a one-entry sigma is a one-row table.
+    depth = min(_TAIL_DEPTH, y - 1) or 1
+    top = y - depth  # entries below `top` are the walked prefix
+    rows, tails, offset = [("", 0, 0)], [()], [0] * (x + 1)
+    for k in range(y - 1, top - 1, -1):
+        below, below_tails, below_offset = rows, tails, offset
+        rows, tails, offset = [], [], []
+        for s in range(x + 1):
+            offset.append(len(rows))
+            if k <= s < (x if k else 1):  # sigma_0 is always 0
+                text, cs, ns = levels[k][s]
+                r = below_offset[s + 1]
+                rows += [(text + t, cs + c, ns + n) for t, c, n in below[r:]]
+                tails += [(s, *entries) for entries in below_tails[r:]]
+    chosen = [0] * top
     samples = iter(verify)
     size = comb(x - 1, y - 1)
     nxt = next(samples, size)  # the cell's size once every sample is replayed
     blocks: list[str] = []
     lines: list[str] = []
-    append = lines.append
     written = 0  # lines already moved into blocks
     hits = []
 
-    def last(lo, base, bn0, pre):
+    def record(pre, text, c, n0):
+        """One record's line and its quotient (None for a ghost)."""
+        if c % modulus:
+            return f"{pre}{text}{c}{n0_at}{n0}{ghost}", None
+        quo = c // modulus
+        return f"{pre}{text}{c}{n0_at}{n0}{integer}{quo}\"{tail}", quo
+
+    def leaf(lo, base, bn0, pre):
         nonlocal nxt, written
-        i = written + len(lines) - lo  # the record ending in s has cell index i + s
-        at = nxt - i  # the last entry of the next sampled record, if it is in this leaf
-        for s, (text, cs, ns) in enumerate(leaf[lo:stop], lo):
+        start = offset[lo]
+        chunk = [f"{pre}{text}{c}{n0_at}{(bn0 + ns) & mask}{ghost}" if (c := base + cs) % modulus
+                 else None for text, cs, ns in rows[start:]]
+        if None in chunk:  # integer cycles are rare: write them one by one
+            for i, line in enumerate(chunk):
+                if line is None:
+                    text, cs, ns = rows[start + i]
+                    chunk[i], quo = record(pre, text, base + cs, (bn0 + ns) & mask)
+                    hits.append((x, y, (*chosen, *tails[start + i]), quo, admissible))
+        first = written + len(lines)  # the cell index of chunk[0]
+        while nxt < first + len(chunk):
+            r = start + nxt - first
+            text, cs, ns = rows[r]
             c, n0 = base + cs, (bn0 + ns) & mask
-            if c % modulus:
-                quo = None
-                append(f"{pre}{text}{c}{n0_at}{n0}{ghost}")
-            else:
-                quo = c // modulus
-                append(f"{pre}{text}{c}{n0_at}{n0}{integer}{quo}\"{tail}")
-                hits.append((x, y, (*chosen[:-1], s), quo, admissible))
-            if s == at:
-                # the record just written, verdict and quotient included;
-                # DynamicsViolation escapes as exit 2
-                replay_record(q, d, x, (*chosen[:-1], s), c, n0, modulus, precision, quo)
-                nxt = next(samples, size)
-                at = nxt - i
+            # the line written is the one built from the replayed C, n0 and
+            # quotient; DynamicsViolation escapes as exit 2
+            chunk[r - start], quo = record(pre, text, c, n0)
+            replay_record(q, d, x, (*chosen, *tails[r]), c, n0, modulus, precision, quo)
+            nxt = next(samples, size)
+        lines.extend(chunk)
         if len(lines) >= _BLOCK_LINES:
             # bounded blocks: the writer encodes one block at a time, never
             # a copy of a whole cell
@@ -242,15 +295,15 @@ def _cell_worker(cell):
             lines.clear()
 
     def walk(k, lo, base, bn0, pre):
-        if k == y - 1:
-            return last(lo, base, bn0, pre)
+        if k == top:
+            return leaf(lo, base, bn0, pre)
         for s in range(lo, x - (y - 1 - k)):
             chosen[k] = s
             text, cs, ns = levels[k][s]
             walk(k + 1, s + 1, base + cs, bn0 + ns, pre + text)
 
     if y == 1:
-        last(0, 0, 0, head)
+        leaf(0, 0, 0, head)
     else:
         text, cs, ns = levels[0][0]
         walk(1, 1, cs, ns, head + text)
@@ -271,7 +324,7 @@ def cmd_scan(args) -> int:
     shapes = [(x, y) for _, y, x in length_cells(args.ell_max)]
     sizes = [comb(x - 1, y - 1) for x, y in shapes]
     total = sum(sizes)
-    sample_size = min(args.verify_sample, total)
+    sample_size = min(_VERIFY_SAMPLE if args.verify_sample is None else args.verify_sample, total)
     sampled = sorted(random.Random(args.seed).sample(range(total), sample_size))
     # each cell replays the sampled scan indices that fall inside it
     cells = []
@@ -345,6 +398,8 @@ def cmd_fibers(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    import json
+
     _check_format(args, ("text", "json"), "witness")
     rec = nonsemilinearity_witness(args.y, args.bound)
     if args.format == "json":
@@ -359,6 +414,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_density_probe(args) -> int:
+    import json
+
     _check_format(args, ("text", "json"), "density-probe")
     if not 1 <= args.target_precision <= 32:
         raise ValueError(f"--target-precision must be in [1, 32], got {args.target_precision}")
@@ -407,13 +464,14 @@ def cmd_density_probe(args) -> int:
 
 
 def cmd_general(args) -> int:
-    if args.ell_max is not None:
-        single = [f"--{name}" for name in ("x", "y", "sigma") if getattr(args, name) is not None]
-        if single:
-            raise ValueError(f"--ell-max (scan) cannot be combined with {', '.join(single)}"
+    single = [f"--{name}" for name in ("x", "y", "sigma") if getattr(args, name) is not None]
+    for flag, value in (("--ell-max", args.ell_max), ("--verify-sample", args.verify_sample)):
+        if value is not None and single:
+            raise ValueError(f"{flag} (scan) cannot be combined with {', '.join(single)}"
                              " (single pattern)")
+    if args.ell_max is not None:
         return cmd_scan(args)
-    if args.x is not None and args.y is not None and args.sigma is not None:
+    if len(single) == 3:
         return cmd_ghost(args)
     raise ValueError("general needs either --ell-max (scan) or --x/--y/--sigma (single pattern)")
 
@@ -435,8 +493,8 @@ def build_parser() -> _Parser:
     p_scan = sub.add_parser("scan", parents=[common], help="exhaustive scan up to a length bound")
     p_scan.add_argument("--ell-max", type=int, required=True)
     p_scan.add_argument("--map", type=_parse_map, default=None, help="q,d for a qn+d map")
-    p_scan.add_argument("--verify-sample", type=_int_at_least(0), default=8,
-                        help="dynamics-verify this many randomly chosen patterns")
+    p_scan.add_argument("--verify-sample", type=_int_at_least(0), default=None,
+                        help="dynamics-verify this many randomly chosen patterns (default 8)")
     p_scan.set_defaults(func=cmd_scan)
 
     p_fib = sub.add_parser("fibers", parents=[common], help="fiber-period table (CSV)")
@@ -465,7 +523,8 @@ def build_parser() -> _Parser:
     p_gen.add_argument("--x", type=int, default=None)
     p_gen.add_argument("--y", type=int, default=None)
     p_gen.add_argument("--sigma", default=None)
-    p_gen.add_argument("--verify-sample", type=_int_at_least(0), default=8)
+    p_gen.add_argument("--verify-sample", type=_int_at_least(0), default=None,
+                       help="scan mode: dynamics-verify this many patterns (default 8)")
     p_gen.set_defaults(func=cmd_general)
 
     return parser

@@ -160,17 +160,24 @@ def replay_record(
         if lifted & mask != n0:
             raise DynamicsViolation(y, lifted & mask, n0, kind="closure")
         n0 = lifted
+    if not n0 & 1:
+        raise DynamicsViolation(0, 0, (n0 & -n0).bit_length() - 1 if n0 else None, kind="unit")
+    # Only the low `width` bits of m are the orbit's; the bits above them
+    # are never masked off, since they only move up as the orbit sheds
+    # bits.  Each step's valuation is tested exactly, so every later m is
+    # odd.  width starts at x + 2 or more (the lift above sees to that),
+    # and the steps up to and including this one shed at most x bits, so
+    # width >= e + 2 at every step: bit e of t is always a known bit.
     m = n0
     for k, (lo, hi) in enumerate(zip(sigma, (*sigma[1:], x))):
-        if not m & 1:
-            raise DynamicsViolation(k, 0, (m & -m).bit_length() - 1 if m else None, kind="unit")
-        t = (q * m + d) & ((1 << width) - 1)
-        s = (t & -t).bit_length() - 1 if t else width  # t = 0: at least width
-        if s != hi - lo:
-            raise DynamicsViolation(k, hi - lo, s)
-        m = t >> s
-        width -= s
-    if m != n0 & ((1 << width) - 1):
+        e = hi - lo
+        t = q * m + d
+        if t & ((2 << e) - 1) != 1 << e:
+            t &= (1 << width) - 1
+            raise DynamicsViolation(k, e, (t & -t).bit_length() - 1 if t else width)
+        m = t >> e
+        width -= e
+    if (m - n0) & ((1 << width) - 1):
         raise DynamicsViolation(y, 0, None, kind="closure")
 
 

@@ -6,8 +6,10 @@ import json
 import random
 import subprocess
 import sys
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghostcycles import _kernel_py, cli
 from ghostcycles.cli import main
@@ -294,6 +296,53 @@ def test_cell_writer_records_equal_the_kernel_oracle(q, d, precision):
                         for sigma, _c, _n0, quo in oracle if quo is not None]
 
 
+def _record_of(line):
+    """(sigma, C, n0 residue, quotient or None) of one written scan line."""
+    rec = json.loads(line)
+    quo = int(rec["integer_value"]) if rec["verdict"] == "integer-cycle" else None
+    return tuple(rec["pattern"]["sigma"]), int(rec["C"]), int(rec["n0"]["residue"]), quo
+
+
+@st.composite
+def sampled_cells(draw):
+    """One scan cell (x <= 16) and sorted cell-local sample indices that
+    always hold its first and last record."""
+    x = draw(st.integers(1, 16))
+    y = draw(st.integers(1, x))
+    q, d = draw(st.sampled_from([(3, 1), (5, 1), (3, -1), (7, 3)]))
+    precision = draw(st.integers(1, 96))
+    last = comb(x - 1, y - 1) - 1
+    inner = draw(st.sets(st.integers(0, last), max_size=30))
+    return x, y, q, d, precision, tuple(sorted(inner | {0, last}))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sampled_cells(), st.booleans())
+def test_sampled_cell_writer_equals_the_kernel_oracle_and_replays_its_lines(cell, include_map):
+    x, y, q, d, precision, verify = cell
+    calls = []
+    real = cli.replay_record
+
+    def spy(*args):
+        calls.append(args)
+        real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "replay_record", spy)
+        blocks, admissible, hits = cli._cell_worker((x, y, q, d, precision, include_map, verify))
+    lines = "\n".join(blocks).split("\n")
+    oracle = _kernel_py.cell_records(x, y, q, d, precision)
+    assert [_record_of(line) for line in lines] == oracle
+    is_admissible = (1 << x) > q**y if d > 0 else (1 << x) < q**y
+    assert admissible == (len(oracle) if is_admissible else 0)
+    assert hits == [(x, y, sigma, quo, is_admissible)
+                    for sigma, _c, _n0, quo in oracle if quo is not None]
+    modulus = (1 << x) - q**y
+    written = [_record_of(lines[i]) for i in verify]
+    assert calls == [(q, d, x, sigma, c, n0, modulus, precision, quo)
+                     for sigma, c, n0, quo in written]
+
+
 def test_general_single_pattern(capsys):
     code, out, _ = run(
         ["general", "--map", "5,1", "--x", "7", "--y", "3", "--sigma", "0,1,2"], capsys
@@ -301,6 +350,16 @@ def test_general_single_pattern(capsys):
     assert code == 0
     assert "verdict: integer-cycle n = 13" in out
     assert "valuations=1,1,5" in out
+
+
+def test_general_single_pattern_rejects_verify_sample(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "cmd_ghost", None)  # any work would fail on the missing name
+    out_path = tmp_path / "out"
+    code, out, err = run(["general", "--map", "5,1", "--x", "7", "--y", "3", "--sigma", "0,1,2",
+                          "--verify-sample", "5", "--out", str(out_path)], capsys)
+    assert code == 1
+    assert "--verify-sample (scan) cannot be combined with --x, --y, --sigma (single pattern)" in err
+    assert out == "" and not out_path.exists()
 
 
 def test_general_needs_map(capsys):
@@ -458,3 +517,21 @@ def test_console_script_usage_error_code():
     )
     assert proc.returncode == 1
     assert "sigma[0] must be 0" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scan", "--ell-max", "2"],
+     ["fibers", "--y", "2", "--x-min", "4", "--x-max", "4", "--scan-bound", "64"]],
+    ids=["scan", "fibers"],
+)
+def test_cli_start_loads_no_pool_or_json_module(argv):
+    # -X importtime lists on stderr every module the run imports
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "ghostcycles", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "ghostcycles.cli" in loaded
+    assert {name for name in loaded
+            if name.split(".")[0] in ("concurrent", "multiprocessing", "json")} == set()

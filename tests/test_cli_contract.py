@@ -110,10 +110,13 @@ def ghost_vectors(draw):
     """(argv without --out, whether it is valid, x, sigma) for `ghost`, or
     for `general --map` on one pattern.  An out-of-contract sigma does not
     start at 0, does not increase strictly, has an entry >= x, or has the
-    wrong length; an out-of-contract precision is at most x + 1."""
+    wrong length; an out-of-contract precision is at most x + 1.  For
+    `general`, any --verify-sample is out of contract: it is a scan flag."""
     f = _Flags(draw, draw(st.sampled_from(["ghost", "general"])))
     if f.command == "general":
         f.option("--map", MAPS)
+        f.option("--verify-sample", [None], [0, 5])
+        f.option("--seed", [None, 0, 7])
     x = f.option("--x", range(1, 11))
     y = f.option("--y", range(1, x + 1))
     sigma = [0, *sorted(draw(st.permutations(range(1, x)))[:y - 1])]

@@ -145,6 +145,29 @@ def test_replay_record_rejects_a_consistent_record_of_another_pattern(q, d):
 
 
 @pytest.mark.parametrize("q,d", [(3, 1), (5, 1), (3, -1)])
+def test_replay_record_names_the_first_step_another_pattern_misses(q, d):
+    # the record's own orbit sheds p's halving counts, so replayed with
+    # another sigma of the cell it must fail at the first step where the
+    # two patterns differ, observing p's count there
+    by_cell = {}
+    for p, precision, c, n0, modulus, quo in _replay_cases(q, d, 12):
+        by_cell.setdefault((p.x, p.y, precision), []).append((p, c, n0, modulus, quo))
+    checked = 0
+    for (x, _y, precision), records in by_cell.items():
+        for (p, c, n0, modulus, quo), (other, *_rest) in zip(records, records[1:] + records[:1]):
+            if other.sigma == p.sigma:
+                continue
+            k = next(k for k, (a, b) in enumerate(zip(p.steps(), other.steps())) if a != b)
+            with pytest.raises(DynamicsViolation) as caught:
+                replay_record(q, d, x, other.sigma, c, n0, modulus, precision, quo)
+            got = caught.value
+            assert (got.kind, got.step, got.expected, got.observed) == (
+                "valuation", k, other.steps()[k], p.steps()[k])
+            checked += 1
+    assert checked > 500
+
+
+@pytest.mark.parametrize("q,d", [(3, 1), (5, 1), (3, -1)])
 def test_replay_record_accepts_what_the_traced_replay_closes(q, d):
     # the oracle: iterate_cycle / general_iterate_cycle trace each orbit
     # from their own n0 with PadicInt; the int-only replay must accept a
