@@ -32,18 +32,11 @@ from .dynamics import (
     t2_step,
     verify_periodicity,
 )
-from .generalized import (
-    COLLATZ,
-    GeneralizedMap,
-    general_ghost_cycle,
-    general_integer_oracle,
-    general_integrality_test,
-    general_iterate_cycle,
-    general_verify_periodicity,
-)
 from .kernel import backend_name
 from .padic import NotAUnit, PadicInt, PrecisionError, ValuationIndeterminate, invert_unit
 from .patterns import (
+    COLLATZ,
+    GeneralizedMap,
     ParityPattern,
     PatternError,
     enumerate_by_length,
@@ -68,16 +61,13 @@ __version__ = "0.1.0"
 __all__ = [
     "PadicInt", "invert_unit",
     "PrecisionError", "ValuationIndeterminate", "NotAUnit",
-    "ParityPattern", "PatternError", "is_admissible",
+    "ParityPattern", "PatternError", "is_admissible", "GeneralizedMap", "COLLATZ",
     "enumerate_sigmas", "enumerate_by_length", "length_cells",
     "IntegerCycle", "Ghost", "GHOST", "GhostCycle",
     "CertifiedInteger", "CertifiedGhost", "Inconclusive", "InadmissiblePattern",
     "cycle_constant", "modulus", "integrality_test", "ghost_cycle", "prefix_certificate",
     "CycleTrace", "DynamicsViolation",
     "t2_step", "iterate_cycle", "verify_periodicity", "iterate_integer",
-    "GeneralizedMap", "COLLATZ",
-    "general_ghost_cycle", "general_integrality_test",
-    "general_iterate_cycle", "general_verify_periodicity", "general_integer_oracle",
     "LinearSet", "SemilinearSet", "FiberPeriodRecord",
     "membership", "dy_membership",
     "fiber_period_exact", "fiber_period_bruteforce", "fiber_eventual_period",

@@ -2,8 +2,7 @@
 
 One call processes one cell (x, y) of the pattern enumeration for a map
 qn + d: every parity pattern with those step counts, in lexicographic
-sigma order, as plain tuples.  `density-probe` reads it through
-`kernel.cell_records`, and the tests hold the scan's fused record
+sigma order, as plain tuples.  The tests hold the scan's fused record
 writer (`cli._cell_worker`) to it as the oracle.
 """
 

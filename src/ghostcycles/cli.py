@@ -1,5 +1,5 @@
-"""Command-line driver: scans, single-pattern verification, fiber tables,
-witnesses, and the exploratory density probe.
+"""Command-line driver: scans, single-pattern verification, fiber tables
+and witnesses.
 
 Exit codes: 0 success, 1 usage error, 2 dynamics violation (should never
 happen; a genuine bug if it does), 3 I/O failure.
@@ -23,12 +23,17 @@ from bisect import bisect_left
 from contextlib import nullcontext
 from math import comb
 
-from . import kernel
 from .cycle import ghost_cycle
 from .dynamics import DynamicsViolation, iterate_cycle, replay_record
-from .generalized import GeneralizedMap, general_ghost_cycle, general_iterate_cycle
 from .padic import _inverse_mod_pow2
-from .patterns import ParityPattern, PatternError, is_admissible, length_cells
+from .patterns import (
+    COLLATZ,
+    GeneralizedMap,
+    ParityPattern,
+    PatternError,
+    is_admissible,
+    length_cells,
+)
 from .records import ghost_record, trace_record
 from .semilinear import (
     FiberUndefined,
@@ -38,17 +43,16 @@ from .semilinear import (
     nonsemilinearity_witness,
 )
 
-COLLATZ_QD = (3, 1)
-
-
 def __getattr__(name: str):
-    # No command uses a process pool, so concurrent.futures (and with it
-    # multiprocessing) is imported only when this name is asked for:
-    # perfbench/layers.py swaps it for a traced subclass, and without it
-    # six traced metrics read null.
+    # perfbench/layers.py hooks both names, and a traced metric whose hook
+    # is missing reads null.  No command uses a process pool, so
+    # concurrent.futures (and with it multiprocessing) is imported only
+    # when asked for; every map's orbit is traced by the one iterate_cycle.
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
         return ProcessPoolExecutor
+    if name == "general_iterate_cycle":
+        return iterate_cycle
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -154,14 +158,10 @@ def cmd_ghost(args) -> int:
     _check_format(args, ("text", "json"), "ghost")
     p = ParityPattern(args.x, args.y, _parse_sigma(args.sigma))
     qd = getattr(args, "map", None)
-    if qd is None:
-        g = ghost_cycle(p, args.precision)
-        t = iterate_cycle(p, args.precision)
-        q = d = None
-    else:
-        g = general_ghost_cycle(qd, p, args.precision)
-        t = general_iterate_cycle(qd, p, args.precision)
-        q, d = qd.q, qd.d
+    map_ = qd or COLLATZ
+    g = ghost_cycle(p, args.precision, map_)
+    t = iterate_cycle(p, args.precision, map_)
+    q, d = (None, None) if qd is None else (map_.q, map_.d)  # plain `ghost` writes no map
     if args.format == "json":
         payload = {"ghost": ghost_record(g, q, d), "trace": trace_record(t)}
         _emit([json.dumps(payload, separators=(",", ":"))], args.out)
@@ -207,9 +207,10 @@ def _cell_worker(cell):
     each of those records is replayed from the very sigma, C, n0 and
     quotient that its written line is built from.
 
-    Returns the lines as blocks of at least _BLOCK_LINES lines (the last
-    may be shorter), the number of admissible patterns, and the
-    integral hits.
+    A generator: it yields the lines as blocks of at least _BLOCK_LINES
+    lines (the last may be shorter), each as soon as it fills, so a scan
+    never holds more than one block of a cell.  It returns the number of
+    admissible patterns and the integral hits.
     """
     x, y, q, d, precision, include_map, verify = cell
     mask = (1 << precision) - 1
@@ -253,7 +254,6 @@ def _cell_worker(cell):
     samples = iter(verify)
     size = comb(x - 1, y - 1)
     nxt = next(samples, size)  # the cell's size once every sample is replayed
-    blocks: list[str] = []
     lines: list[str] = []
     written = 0  # lines already moved into blocks
     hits = []
@@ -290,34 +290,36 @@ def _cell_worker(cell):
         if len(lines) >= _BLOCK_LINES:
             # bounded blocks: the writer encodes one block at a time, never
             # a copy of a whole cell
-            blocks.append("\n".join(lines))
+            block = "\n".join(lines)
             written += len(lines)
             lines.clear()
+            yield block
 
     def walk(k, lo, base, bn0, pre):
         if k == top:
-            return leaf(lo, base, bn0, pre)
+            yield from leaf(lo, base, bn0, pre)
+            return
         for s in range(lo, x - (y - 1 - k)):
             chosen[k] = s
             text, cs, ns = levels[k][s]
-            walk(k + 1, s + 1, base + cs, bn0 + ns, pre + text)
+            yield from walk(k + 1, s + 1, base + cs, bn0 + ns, pre + text)
 
     if y == 1:
-        leaf(0, 0, 0, head)
+        yield from leaf(0, 0, 0, head)
     else:
         text, cs, ns = levels[0][0]
-        walk(1, 1, cs, ns, head + text)
+        yield from walk(1, 1, cs, ns, head + text)
     if lines:
-        blocks.append("\n".join(lines))
+        yield "\n".join(lines)
     del walk  # it reaches itself through its closure: free the cell now, not at the next gc
-    return blocks, size if admissible else 0, hits
+    return size if admissible else 0, hits
 
 
 def cmd_scan(args) -> int:
     _check_format(args, ("json",), "scan")
-    qd = getattr(args, "map", None)
-    include_map = qd is not None and (qd.q, qd.d) != COLLATZ_QD
-    q, d = (qd.q, qd.d) if qd is not None else COLLATZ_QD
+    map_ = getattr(args, "map", None) or COLLATZ
+    include_map = map_ != COLLATZ
+    q, d = map_.q, map_.d
     precision = args.precision
     started = time.perf_counter()
 
@@ -340,12 +342,10 @@ def cmd_scan(args) -> int:
 
     def blocks():
         nonlocal admissible_count
-        for cell_blocks, admissible, hits in map(_cell_worker, cells):
+        for cell in cells:
+            admissible, hits = yield from _cell_worker(cell)
             admissible_count += admissible
             integral.extend(hits)
-            cell_blocks.reverse()
-            while cell_blocks:
-                yield cell_blocks.pop()  # free each block once it is written
 
     _emit(blocks(), args.out)
     elapsed = time.perf_counter() - started
@@ -410,56 +410,6 @@ def cmd_witness(args) -> int:
     return 0
 
 
-# --------------------------------------------------------- density probe
-
-
-def cmd_density_probe(args) -> int:
-    import json
-
-    _check_format(args, ("text", "json"), "density-probe")
-    if not 1 <= args.target_precision <= 32:
-        raise ValueError(f"--target-precision must be in [1, 32], got {args.target_precision}")
-    tp = args.target_precision
-    mask = (1 << tp) - 1
-    target = args.target & mask
-
-    best = None  # (depth, x, y, sigma)
-    histogram: dict[int, int] = {}
-    for _, y, x in length_cells(args.ell_max):
-        if not is_admissible(x, y):
-            continue
-        for sigma, _c, n0, _quo in kernel.cell_records(x, y, 3, 1, tp):
-            diff = (n0 ^ target) & mask
-            depth = tp if diff == 0 else (diff & -diff).bit_length() - 1
-            histogram[depth] = histogram.get(depth, 0) + 1
-            if best is None or depth > best[0]:
-                best = (depth, x, y, sigma)
-
-    if best is None:
-        raise ValueError(f"no admissible patterns with ell <= {args.ell_max}")
-    depth, x, y, sigma = best
-    hist_items = sorted(histogram.items())
-    if args.format == "json":
-        payload = {
-            "exploratory": True,
-            "target": str(target),
-            "target_precision": tp,
-            "ell_max": args.ell_max,
-            "best": {"x": x, "y": y, "sigma": list(sigma), "depth": depth},
-            "histogram": {str(k): v for k, v in hist_items},
-        }
-        _emit([json.dumps(payload, separators=(",", ":"))], args.out)
-    else:
-        lines = [
-            "density probe (exploratory: the statistic is ours, it proves nothing)",
-            f"target={target} precision={tp} ell_max={args.ell_max}",
-            f"best: x={x} y={y} sigma={','.join(map(str, sigma))} depth={depth}",
-            "histogram: " + " ".join(f"{k}:{v}" for k, v in hist_items),
-        ]
-        _emit(lines, args.out)
-    return 0
-
-
 # -------------------------------------------------------------- general
 
 
@@ -509,13 +459,6 @@ def build_parser() -> _Parser:
     p_wit.add_argument("--y", type=_int_at_least(1), required=True)
     p_wit.add_argument("--bound", "-M", type=_int_at_least(1), required=True, dest="bound")
     p_wit.set_defaults(func=cmd_witness)
-
-    p_den = sub.add_parser("density-probe", parents=[common],
-                           help="exploratory: closest ghost n0 to a 2-adic target")
-    p_den.add_argument("--target", type=int, required=True)
-    p_den.add_argument("--target-precision", type=int, default=16)
-    p_den.add_argument("--ell-max", type=int, default=12)
-    p_den.set_defaults(func=cmd_density_probe)
 
     p_gen = sub.add_parser("general", parents=[common], help="scan/ghost for a qn+d map")
     p_gen.add_argument("--map", type=_parse_map, required=True)

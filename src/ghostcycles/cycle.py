@@ -1,10 +1,11 @@
 """The cycle equation and its unique 2-adic solution.
 
-For a pattern (x, y, sigma) the cycle equation reads
+For a pattern (x, y, sigma) and a map qn + d (3n + 1 unless a
+`GeneralizedMap` is given) the cycle equation reads
 
-    n0 * (2**x - 3**y) = sum_{k=0}^{y-1} 3**(y-1-k) * 2**sigma[k]  =  C
+    n0 * (2**x - q**y) = d * sum_{k=0}^{y-1} q**(y-1-k) * 2**sigma[k]  =  C
 
-Both C and the modulus 2**x - 3**y are odd, so the modulus is a 2-adic
+Both C and the modulus 2**x - q**y are odd, so the modulus is a 2-adic
 unit and n0 = modulus^-1 * C exists and is unique at any precision.
 Whether that solution is an *integer* cycle is a separate, exact
 question: it is one precisely when the modulus divides C in Z.  That
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .padic import PadicInt, invert_unit
-from .patterns import ParityPattern, is_admissible
+from .patterns import COLLATZ, GeneralizedMap, ParityPattern, is_admissible
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,26 +61,27 @@ class InadmissiblePattern(ValueError):
     """Operation needs a positive modulus, i.e. an admissible pattern."""
 
 
-def cycle_constant(p: ParityPattern) -> int:
-    """C = sum 3**(y-1-k) * 2**sigma[k]; always odd (the k = 0 term is the
-    only odd one since sigma[0] = 0 and sigma[k] >= 1 after it)."""
-    c = sum(3 ** (p.y - 1 - k) << s for k, s in enumerate(p.sigma))
+def cycle_constant(p: ParityPattern, map_: GeneralizedMap = COLLATZ) -> int:
+    """C = d * sum q**(y-1-k) * 2**sigma[k]; always odd (the k = 0 term is
+    the only odd one since sigma[0] = 0 and sigma[k] >= 1 after it, and d is
+    odd), and negative when d is."""
+    c = map_.d * sum(map_.q ** (p.y - 1 - k) << s for k, s in enumerate(p.sigma))
     assert c & 1, "cycle constant must be odd"
     return c
 
 
-def modulus(p: ParityPattern) -> int:
-    """Signed 2**x - 3**y.  Odd for every valid pattern; positive exactly
-    when the pattern is admissible."""
-    m = (1 << p.x) - 3 ** p.y
+def modulus(p: ParityPattern, map_: GeneralizedMap = COLLATZ) -> int:
+    """Signed 2**x - q**y.  Odd for every valid pattern, since q is odd;
+    for d > 0, positive exactly when the pattern is admissible."""
+    m = (1 << p.x) - map_.q ** p.y
     assert m & 1, "modulus must be odd"
     return m
 
 
-def integrality_test(p: ParityPattern) -> Verdict:
+def integrality_test(p: ParityPattern, map_: GeneralizedMap = COLLATZ) -> Verdict:
     """Exact big-integer divisibility: IntegerCycle(C // m) iff m | C."""
-    c = cycle_constant(p)
-    q, r = divmod(c, modulus(p))
+    c = cycle_constant(p, map_)
+    q, r = divmod(c, modulus(p, map_))
     return IntegerCycle(q) if r == 0 else GHOST
 
 
@@ -94,17 +96,17 @@ class GhostCycle:
     verdict: Verdict
 
 
-def ghost_cycle(p: ParityPattern, precision: int) -> GhostCycle:
+def ghost_cycle(p: ParityPattern, precision: int, map_: GeneralizedMap = COLLATZ) -> GhostCycle:
     """Solve the cycle equation at the given precision.
 
     n0 is modulus^-1 * C reduced mod 2**precision; the verdict comes from
     the exact divisibility test and does not depend on the precision.
     """
-    c = cycle_constant(p)
-    m = modulus(p)
+    c = cycle_constant(p, map_)
+    m = modulus(p, map_)
     n0 = invert_unit(PadicInt(m, precision)) * PadicInt(c, precision)
     assert (n0.residue * m - c) % (1 << precision) == 0
-    return GhostCycle(p, c, m, n0, integrality_test(p))
+    return GhostCycle(p, c, m, n0, integrality_test(p, map_))
 
 
 def prefix_certificate(p: ParityPattern, k: int) -> Certificate:

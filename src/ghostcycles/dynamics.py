@@ -1,9 +1,10 @@
 """The 2-adic map and cycle-orbit verification.
 
-The accelerated map on nonzero 2-adic integers:
+The accelerated map of qn + d (3n + 1 unless a `GeneralizedMap` is given)
+on nonzero 2-adic integers:
 
     T2(n) = n / 2                        if v2(n) > 0
-    T2(n) = (3n + 1) / 2**v2(3n + 1)     if v2(n) = 0
+    T2(n) = (qn + d) / 2**v2(qn + d)     if v2(n) = 0
 
 Every odd step therefore divides out all factors of 2 at once.  Along a
 cycle solution the halving counts are forced: starting from n0, the k-th
@@ -12,9 +13,8 @@ intermediate value is a unit, and after y odd steps the orbit closes.
 `iterate_cycle` replays this and treats any mismatch as a hard error:
 the structure guarantees it cannot happen, so an occurrence means an
 implementation bug, never a data condition.  `replay_record` makes the
-same checks with plain ints on a record's own `n0` and verdict, for any
-map qn + d, so that a scan verifies what it writes rather than a value it
-re-solves.
+same checks with plain ints on a record's own `n0` and verdict, so that
+a scan verifies what it writes rather than a value it re-solves.
 
 The classical single-step integer map (one halving per step) is kept
 separately as a cross-check oracle; mixing the two would break step
@@ -29,7 +29,7 @@ from enum import Enum
 
 from .cycle import ghost_cycle
 from .padic import PadicInt, PrecisionError, ValuationIndeterminate, _inverse_mod_pow2
-from .patterns import ParityPattern
+from .patterns import COLLATZ, GeneralizedMap, ParityPattern
 
 
 class Branch(Enum):
@@ -70,11 +70,11 @@ class CycleTrace:
         return self.m[-1].agrees_with(self.m[0])
 
 
-def t2_step(n: PadicInt) -> tuple[PadicInt, Branch, int]:
+def t2_step(n: PadicInt, map_: GeneralizedMap = COLLATZ) -> tuple[PadicInt, Branch, int]:
     """One application of the accelerated map, with precision tracking.
 
     The even branch sheds one bit of precision; the odd branch sheds
-    v2(3n+1) bits.  Raises when the stored digits cannot determine the
+    v2(qn+d) bits.  Raises when the stored digits cannot determine the
     branch or the halving count.
     """
     r, k = n.residue, n.precision
@@ -84,16 +84,16 @@ def t2_step(n: PadicInt) -> tuple[PadicInt, Branch, int]:
         )
     if r & 1 == 0:
         return PadicInt(r >> 1, k - 1), Branch.EVEN, 1
-    t = (3 * r + 1) & ((1 << k) - 1)
+    t = (map_.q * r + map_.d) & ((1 << k) - 1)
     if t == 0:
         raise PrecisionError(
-            f"3n+1 vanishes mod 2^{k}; halving count exceeds the working precision"
+            f"{map_.q}n{map_.d:+d} vanishes mod 2^{k}; halving count exceeds the working precision"
         )
     s = (t & -t).bit_length() - 1
     return PadicInt(t >> s, k - s), Branch.ODD, s
 
 
-def iterate_cycle(p: ParityPattern, precision: int) -> CycleTrace:
+def iterate_cycle(p: ParityPattern, precision: int, map_: GeneralizedMap = COLLATZ) -> CycleTrace:
     """Traverse the cycle solution once through its y odd phases.
 
     Asserts, step by step, that each m_k is a unit, that the observed
@@ -105,14 +105,14 @@ def iterate_cycle(p: ParityPattern, precision: int) -> CycleTrace:
         raise PrecisionError(
             f"precision {precision} too small: need > x + 1 = {p.x + 1} to close the cycle"
         )
-    m0 = ghost_cycle(p, precision).n0
+    m0 = ghost_cycle(p, precision, map_).n0
     ms = [m0]
     vals: list[int] = []
     cur = m0
     for k, expected in enumerate(p.steps()):
         if not cur.is_unit:
             raise DynamicsViolation(k, 0, cur.v2(), kind="unit")
-        cur, branch, s = t2_step(cur)
+        cur, branch, s = t2_step(cur, map_)
         assert branch is Branch.ODD
         if s != expected:
             raise DynamicsViolation(k, expected, s)
@@ -181,20 +181,20 @@ def replay_record(
         raise DynamicsViolation(y, 0, None, kind="closure")
 
 
-def verify_periodicity(p: ParityPattern, precision: int) -> bool:
+def verify_periodicity(p: ParityPattern, precision: int, map_: GeneralizedMap = COLLATZ) -> bool:
     """True iff the full traversal succeeds with every assertion passing.
 
     Precision and validation errors propagate: they are caller mistakes,
     not findings about the orbit.
     """
     try:
-        iterate_cycle(p, precision)
+        iterate_cycle(p, precision, map_)
     except DynamicsViolation:
         return False
     return True
 
 
-def iterate_integer(n: int, max_steps: int = 10_000) -> list[int]:
+def iterate_integer(n: int, max_steps: int = 10_000, map_: GeneralizedMap = COLLATZ) -> list[int]:
     """Classical integer trajectory, one halving per step.
 
     Runs until the start value reappears or max_steps is hit; returns the
@@ -205,7 +205,7 @@ def iterate_integer(n: int, max_steps: int = 10_000) -> list[int]:
     seq = [n]
     v = n
     for _ in range(max_steps):
-        v = v // 2 if v % 2 == 0 else 3 * v + 1
+        v = v // 2 if v % 2 == 0 else map_.q * v + map_.d
         seq.append(v)
         if v == n:
             break

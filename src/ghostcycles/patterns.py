@@ -7,9 +7,9 @@ cumulative number of halvings performed before the k-th odd step, so
 
 A pattern is *admissible* when 2**x > 3**y, the size constraint a
 positive cycle value must satisfy; `is_admissible` also covers the maps
-qn + d.  Inadmissible patterns stay fully representable: their cycle
-equation still has a unique 2-adic solution, and the negative integer
-cycles they produce are useful cross-checks.
+qn + d that `GeneralizedMap` names.  Inadmissible patterns stay fully
+representable: their cycle equation still has a unique 2-adic solution,
+and the negative integer cycles they produce are useful cross-checks.
 """
 
 from __future__ import annotations
@@ -73,6 +73,26 @@ class ParityPattern:
         """Expected step parities around the cycle: 'O' for an odd step,
         then 'E' repeated s_k times, for k = 1..y.  Length is ell."""
         return "".join("O" + "E" * s for s in self.steps())
+
+
+@dataclass(frozen=True, slots=True)
+class GeneralizedMap:
+    """The map n -> (qn + d) / 2^v2(qn+d) on odd n: odd multiplier q >= 3
+    and odd nonzero offset d.  Odd q and d keep qn + d even on odd n and
+    2**x - q**y odd, so every pattern's cycle equation keeps its unique
+    2-adic solution."""
+
+    q: int
+    d: int
+
+    def __post_init__(self) -> None:
+        if self.q < 3 or self.q % 2 == 0:
+            raise ValueError(f"multiplier q must be an odd integer >= 3, got {self.q}")
+        if self.d == 0 or self.d % 2 == 0:
+            raise ValueError(f"offset d must be odd and nonzero, got {self.d}")
+
+
+COLLATZ = GeneralizedMap(3, 1)
 
 
 def is_admissible(x: int, y: int, q: int = 3, d: int = 1) -> bool:

@@ -26,8 +26,9 @@ _spec.loader.exec_module(layers)
     [["scan", "--ell-max", "8", "--jobs", "2", "--out", "{out}"],
      ["general", "--map", "5,1", "--ell-max", "8", "--verify-sample", "20", "--jobs", "1",
       "--out", "{out}"],
-     ["fibers", "--y", "2", "--x-min", "4", "--x-max", "6", "--scan-bound", "300"]],
-    ids=["scan", "general", "fibers"],
+     ["fibers", "--y", "2", "--x-min", "4", "--x-max", "6", "--scan-bound", "300"],
+     ["general", "--map", "5,1", "--x", "7", "--y", "3", "--sigma", "0,1,2"]],
+    ids=["scan", "general", "fibers", "general-single"],
 )
 def test_traced_run_resolves_every_hook(argv, tmp_path):
     spans = tmp_path / "spans.json"
@@ -41,6 +42,10 @@ def test_traced_run_resolves_every_hook(argv, tmp_path):
     values = layers.layer_metrics(doc)
     assert [name for name, value in values.items() if value is None] == []
     assert abs(values["trace.unattributed_s"]) <= 1e-6
+    if "--sigma" in argv:
+        # the one command whose orbit is traced through the hooked names
+        assert values["dynamics.orbits_verified"] == 1
+        assert values["cycle.resolve_s"] > 0
 
 
 def test_benchmark_reads_the_backend_name():

@@ -14,9 +14,8 @@ from hypothesis import given, settings, strategies as st
 from ghostcycles import _kernel_py, cli
 from ghostcycles.cli import main
 from ghostcycles.cycle import ghost_cycle
-from ghostcycles.generalized import GeneralizedMap, general_ghost_cycle
 from ghostcycles.padic import _inverse_mod_pow2
-from ghostcycles.patterns import ParityPattern, enumerate_by_length, length_cells
+from ghostcycles.patterns import GeneralizedMap, ParityPattern, enumerate_by_length, length_cells
 from ghostcycles.records import ghost_record
 
 
@@ -151,7 +150,7 @@ def test_scan_template_is_json_dumps_of_the_library_record(argv, precision, caps
     expected = []
     for p, _adm in enumerate_by_length(16):
         if m is not None:
-            rec = ghost_record(general_ghost_cycle(m, p, precision), m.q, m.d)
+            rec = ghost_record(ghost_cycle(p, precision, m), m.q, m.d)
         else:
             rec = ghost_record(ghost_cycle(p, precision))
         expected.append(json.dumps(rec, separators=(",", ":")) + "\n")
@@ -276,11 +275,21 @@ def test_scan_with_an_integer_value_off_by_one_exits_two(jobs, capsys, monkeypat
     assert "dynamics violation: verdict violation at odd step " in err
 
 
+def _run_cell(cell):
+    """The blocks one scan cell yields, with the (admissible, hits) it returns."""
+    worker, blocks = cli._cell_worker(cell), []
+    try:
+        while True:
+            blocks.append(next(worker))
+    except StopIteration as done:
+        return blocks, *done.value
+
+
 @pytest.mark.parametrize("q,d", [(3, 1), (5, 1), (3, -1), (7, 3)])
 @pytest.mark.parametrize("precision", [5, 64, 96])
 def test_cell_writer_records_equal_the_kernel_oracle(q, d, precision):
     for _ell, y, x in length_cells(16):
-        blocks, admissible, hits = cli._cell_worker((x, y, q, d, precision, True, ()))
+        blocks, admissible, hits = _run_cell((x, y, q, d, precision, True, ()))
         got = []
         for line in "\n".join(blocks).split("\n"):
             rec = json.loads(line)
@@ -329,7 +338,7 @@ def test_sampled_cell_writer_equals_the_kernel_oracle_and_replays_its_lines(cell
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "replay_record", spy)
-        blocks, admissible, hits = cli._cell_worker((x, y, q, d, precision, include_map, verify))
+        blocks, admissible, hits = _run_cell((x, y, q, d, precision, include_map, verify))
     lines = "\n".join(blocks).split("\n")
     oracle = _kernel_py.cell_records(x, y, q, d, precision)
     assert [_record_of(line) for line in lines] == oracle
@@ -440,9 +449,8 @@ def test_witness_text_and_json(capsys):
          "fiber_period_exact"),
         (["witness", "--y", "1", "--bound", "10", "--format", "csv"], "nonsemilinearity_witness"),
         (["ghost", "--x", "4", "--y", "2", "--sigma", "0,1", "--format", "csv"], "ghost_cycle"),
-        (["density-probe", "--target", "1", "--format", "csv"], "kernel"),
     ],
-    ids=["fibers-json", "fibers-text", "witness-csv", "ghost-csv", "density-probe-csv"],
+    ids=["fibers-json", "fibers-text", "witness-csv", "ghost-csv"],
 )
 def test_commands_reject_formats_they_do_not_write(argv, target, capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, target, None)  # any work would fail on the missing name
@@ -452,44 +460,6 @@ def test_commands_reject_formats_they_do_not_write(argv, target, capsys, monkeyp
     assert f"--format {argv[-1]} is not supported" in err
     assert f"error: {argv[0]} writes " in err
     assert out == "" and not out_path.exists()
-
-
-def test_density_probe_even_target_never_matches(capsys):
-    code, out, _ = run(
-        ["density-probe", "--target", "0", "--target-precision", "8", "--ell-max", "8",
-         "--format", "json"], capsys
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["exploratory"] is True
-    assert set(payload["histogram"]) == {"0"}  # every n0 is odd; an even target fails at bit 0
-    assert payload["best"]["depth"] == 0
-
-
-def test_density_probe_odd_target_matches_bit_zero(capsys):
-    code, out, _ = run(
-        ["density-probe", "--target", "1", "--target-precision", "8", "--ell-max", "8",
-         "--format", "json"], capsys
-    )
-    payload = json.loads(out)
-    assert code == 0
-    assert all(int(depth) >= 1 for depth in payload["histogram"])
-
-
-def test_density_probe_self_match(capsys):
-    target = ghost_cycle(ParityPattern(4, 2, (0, 1)), 16).n0.residue
-    code, out, _ = run(
-        ["density-probe", "--target", str(target), "--target-precision", "16",
-         "--ell-max", "6", "--format", "json"], capsys
-    )
-    payload = json.loads(out)
-    assert code == 0
-    assert payload["best"]["depth"] == 16
-
-
-def test_density_probe_precision_cap(capsys):
-    code, _, err = run(["density-probe", "--target", "1", "--target-precision", "33"], capsys)
-    assert code == 1
 
 
 def test_unwritable_out_is_io_error(capsys):
@@ -535,3 +505,23 @@ def test_cli_start_loads_no_pool_or_json_module(argv):
     assert "ghostcycles.cli" in loaded
     assert {name for name in loaded
             if name.split(".")[0] in ("concurrent", "multiprocessing", "json")} == set()
+
+
+def _scan_peak_rss_kb(ell_max):
+    """Peak RSS of one `scan --ell-max N`, read in a fresh process whose only
+    child is that scan (ru_maxrss of RUSAGE_CHILDREN is the largest child's)."""
+    probe = ("import os, resource, subprocess, sys\n"
+             "subprocess.run([sys.executable, '-m', 'ghostcycles', 'scan', '--ell-max', sys.argv[1],"
+             " '--out', os.devnull], check=True, stdout=subprocess.DEVNULL)\n"
+             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    proc = subprocess.run([sys.executable, "-c", probe, str(ell_max)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+def test_scan_memory_stays_flat_in_ell_max():
+    # the largest cell at ell 30 holds about 200k records, some 40 MB of
+    # lines; each block is written as soon as it fills, so the peak stays
+    # within a few MB of a scan whose largest cell is 40 times smaller
+    assert _scan_peak_rss_kb(30) - _scan_peak_rss_kb(22) <= 5 * 1024

@@ -17,8 +17,7 @@ from ghostcycles.dynamics import (
     verify_periodicity,
 )
 from ghostcycles.padic import PadicInt, PrecisionError, ValuationIndeterminate
-from ghostcycles.generalized import GeneralizedMap, general_ghost_cycle, general_iterate_cycle
-from ghostcycles.patterns import ParityPattern, enumerate_by_length, is_admissible
+from ghostcycles.patterns import GeneralizedMap, ParityPattern, enumerate_by_length, is_admissible
 
 
 def test_t2_step_examples():
@@ -74,7 +73,7 @@ def _replay_cases(q, d, ell_max):
     m = GeneralizedMap(q, d)
     for p, _adm in enumerate_by_length(ell_max):
         for precision in (p.x, p.x + 1, p.x + 2, 64):
-            g = general_ghost_cycle(m, p, precision)
+            g = ghost_cycle(p, precision, m)
             quo = g.verdict.value if isinstance(g.verdict, IntegerCycle) else None
             yield p, precision, g.constant, g.n0.residue, g.modulus, quo
 
@@ -169,13 +168,13 @@ def test_replay_record_names_the_first_step_another_pattern_misses(q, d):
 
 @pytest.mark.parametrize("q,d", [(3, 1), (5, 1), (3, -1)])
 def test_replay_record_accepts_what_the_traced_replay_closes(q, d):
-    # the oracle: iterate_cycle / general_iterate_cycle trace each orbit
-    # from their own n0 with PadicInt; the int-only replay must accept a
-    # record carrying exactly that n0, and see the same halving counts
+    # the oracle: iterate_cycle traces each orbit from its own n0 with
+    # PadicInt; the int-only replay must accept a record carrying exactly
+    # that n0, and see the same halving counts
     m = GeneralizedMap(q, d)
     for p, precision, c, n0, modulus, quo in _replay_cases(q, d, 12):
         depth = max(precision, p.x + 2)
-        trace = iterate_cycle(p, depth) if (q, d) == (3, 1) else general_iterate_cycle(m, p, depth)
+        trace = iterate_cycle(p, depth, m)
         assert trace.closed and trace.step_valuations == p.steps()
         assert trace.m[0].residue & ((1 << precision) - 1) == n0
         replay_record(q, d, p.x, p.sigma, c, n0, modulus, precision, quo)
@@ -229,32 +228,49 @@ def test_iterate_integer_examples():
         iterate_integer(0)
 
 
+# per map: how many positive integer-cycle patterns have x <= 14, and their
+# values (each cycle's odd elements)
+RECORDED_CYCLES = {
+    (3, 1): (7, {1}),
+    (5, 1): (16, {1, 3, 13, 17, 27, 33, 43, 83}),
+    (3, -1): (29, {1, 5, 7, 17, 25, 37, 41, 55, 61, 91}),
+    (7, 3): (4, {3}),
+}
+
+
 def test_integer_verdicts_rejoin_the_classical_map():
-    # every positive integer cycle found by scanning small patterns must ride
-    # the classical map back to itself in exactly ell steps, spelling the
-    # pattern's parity word (the minimal orbit may be shorter: r-fold
-    # patterns traverse it r times)
-    found = 0
-    for x in range(1, 13):
+    # every positive integer cycle found by scanning the patterns with
+    # x <= 14 must ride the classical map q*n + d, stepped here one halving
+    # at a time, back to itself in exactly ell steps, spelling the pattern's
+    # parity word (the minimal orbit may be shorter: r-fold patterns
+    # traverse it r times)
+    for (q, d), (found, values) in RECORDED_CYCLES.items():
+        _assert_integer_verdicts_rejoin(q, d, found, values)
+
+
+def _assert_integer_verdicts_rejoin(q, d, found, values):
+    m = GeneralizedMap(q, d)
+    cycles = []
+    for x in range(1, 15):
         for y in range(1, x + 1):
             for p in _all_sigmas(x, y):
-                v = integrality_test(p)
-                if isinstance(v, IntegerCycle) and v.value >= 1 and is_admissible(p.x, p.y):
+                v = integrality_test(p, m)
+                if isinstance(v, IntegerCycle) and v.value >= 1 and is_admissible(p.x, p.y, q, d):
                     n, word = v.value, ""
                     for _ in range(p.ell):
                         if n % 2:
                             word += "O"
-                            n = 3 * n + 1
+                            n = q * n + d
                         else:
                             word += "E"
                             n //= 2
                     assert n == v.value
                     assert word == p.parity_word()
-                    minimal = iterate_integer(v.value)
+                    minimal = iterate_integer(v.value, map_=m)
                     assert minimal[-1] == v.value
                     assert p.ell % (len(minimal) - 1) == 0
-                    found += 1
-    assert found >= 4  # at least the r-fold trivial family r <= 4
+                    cycles.append(v.value)
+    assert (q, d, len(cycles), set(cycles)) == (q, d, found, values)
 
 
 def _all_sigmas(x, y):

@@ -1,24 +1,13 @@
-"""qn+d generalization, pinned to the known 5n+1 integer cycles and to
-exact agreement with the base modules at (3, 1)."""
+"""The cycle functions on maps qn + d, pinned to the known 5n+1 and 3n-1
+integer cycles and to the classical orbits they ride."""
 
 from itertools import combinations
 
 import pytest
 
-from ghostcycles.cycle import GHOST, IntegerCycle, cycle_constant, ghost_cycle, modulus
-from ghostcycles.dynamics import iterate_cycle, iterate_integer
-from ghostcycles.generalized import (
-    COLLATZ,
-    GeneralizedMap,
-    general_cycle_constant,
-    general_ghost_cycle,
-    general_integer_oracle,
-    general_integrality_test,
-    general_iterate_cycle,
-    general_modulus,
-    general_verify_periodicity,
-)
-from ghostcycles.patterns import ParityPattern, enumerate_by_length, is_admissible
+from ghostcycles.cycle import GHOST, IntegerCycle, cycle_constant, ghost_cycle, integrality_test
+from ghostcycles.dynamics import iterate_cycle, iterate_integer, verify_periodicity
+from ghostcycles.patterns import COLLATZ, GeneralizedMap, ParityPattern, is_admissible
 
 FIVE = GeneralizedMap(5, 1)
 
@@ -33,40 +22,35 @@ def test_map_validation():
 
 
 def test_general_constant_examples():
-    assert general_cycle_constant(FIVE, ParityPattern(5, 2, (0, 1))) == 7
-    assert general_cycle_constant(FIVE, ParityPattern(7, 3, (0, 1, 2))) == 39
+    assert cycle_constant(ParityPattern(5, 2, (0, 1)), FIVE) == 7
+    assert cycle_constant(ParityPattern(7, 3, (0, 1, 2)), FIVE) == 39
 
 
 def test_general_ghost_cycle_examples():
-    g = general_ghost_cycle(FIVE, ParityPattern(5, 2, (0, 1)), 64)
+    g = ghost_cycle(ParityPattern(5, 2, (0, 1)), 64, FIVE)
     assert g.verdict == IntegerCycle(1) and g.modulus == 7
 
-    g = general_ghost_cycle(FIVE, ParityPattern(7, 3, (0, 1, 2)), 64)
+    g = ghost_cycle(ParityPattern(7, 3, (0, 1, 2)), 64, FIVE)
     assert g.verdict == IntegerCycle(13) and g.modulus == 3
 
-    g = general_ghost_cycle(FIVE, ParityPattern(5, 2, (0, 2)), 64)
+    g = ghost_cycle(ParityPattern(5, 2, (0, 2)), 64, FIVE)
     assert g.verdict == GHOST and g.constant == 9
 
 
 def test_general_iterate_examples():
-    t = general_iterate_cycle(FIVE, ParityPattern(5, 2, (0, 1)), 32)
+    t = iterate_cycle(ParityPattern(5, 2, (0, 1)), 32, FIVE)
     assert t.step_valuations == (1, 4) and t.closed
 
-    t = general_iterate_cycle(FIVE, ParityPattern(7, 3, (0, 1, 2)), 32)
+    t = iterate_cycle(ParityPattern(7, 3, (0, 1, 2)), 32, FIVE)
     assert t.step_valuations == (1, 1, 5)
     assert [m.residue for m in t.m] == [13, 33, 83, 13 % (1 << t.final_precision)]
 
-    base = iterate_cycle(ParityPattern(2, 1, (0,)), 16)
-    gen = general_iterate_cycle(COLLATZ, ParityPattern(2, 1, (0,)), 16)
-    assert gen == base
-
 
 def test_general_integer_oracle_examples():
-    assert general_integer_oracle(FIVE, 1) == [1, 6, 3, 16, 8, 4, 2, 1]
-    orbit13 = general_integer_oracle(FIVE, 13)
+    assert iterate_integer(1, map_=FIVE) == [1, 6, 3, 16, 8, 4, 2, 1]
+    orbit13 = iterate_integer(13, map_=FIVE)
     assert orbit13[-1] == 13 and len(orbit13) == 11  # 10 steps + the start
-    assert general_integer_oracle(COLLATZ, 1) == [1, 4, 2, 1]
-    assert general_integer_oracle(COLLATZ, 1) == iterate_integer(1)
+    assert iterate_integer(1, map_=COLLATZ) == [1, 4, 2, 1]
 
 
 def test_admissibility_sign_flips_with_d():
@@ -77,21 +61,13 @@ def test_admissibility_sign_flips_with_d():
     assert not is_admissible(5, 2, 3, -1)
 
 
-def test_specialization_agrees_with_base_modules_everywhere():
-    for p, _adm in enumerate_by_length(20):
-        assert general_cycle_constant(COLLATZ, p) == cycle_constant(p)
-        assert general_modulus(COLLATZ, p) == modulus(p)
-        g, b = general_ghost_cycle(COLLATZ, p, 64), ghost_cycle(p, 64)
-        assert (g.constant, g.modulus, g.n0, g.verdict) == (b.constant, b.modulus, b.n0, b.verdict)
-
-
 def test_five_n_plus_one_scan_confirms_known_cycles():
     found = {}
     for x in range(1, 20):
         for y in range(1, min(x, 20 - x) + 1):
             for mid in combinations(range(1, x), y - 1):
                 p = ParityPattern(x, y, (0,) + mid)
-                v = general_integrality_test(FIVE, p)
+                v = integrality_test(p, FIVE)
                 if v != GHOST and v.value >= 1 and is_admissible(p.x, p.y, FIVE.q, FIVE.d):
                     found[(x, y, p.sigma)] = v.value
     assert found[(5, 2, (0, 1))] == 1
@@ -103,20 +79,20 @@ def test_five_n_plus_one_scan_confirms_known_cycles():
         for _ in range(p.ell):
             n = 5 * n + 1 if n % 2 else n // 2
         assert n == value
-        assert general_verify_periodicity(FIVE, p, x + 32)
+        assert verify_periodicity(p, x + 32, FIVE)
 
 
 def test_seventeen_cycle_of_5n1_is_found():
     # 17 -> 86 -> 43 -> 216 -> 108 -> 54 -> 27 -> 136 -> ... -> 17
-    v = general_integrality_test(FIVE, ParityPattern(7, 3, (0, 1, 4)))
+    v = integrality_test(ParityPattern(7, 3, (0, 1, 4)), FIVE)
     assert v == IntegerCycle(17)
-    orbit = general_integer_oracle(FIVE, 17)
+    orbit = iterate_integer(17, map_=FIVE)
     assert orbit[-1] == 17 and len(orbit) == 11
 
 
 def test_negative_offset_map_has_integer_cycles():
     # 3n-1 on n=1: 1 -> 2 -> 1, pattern (1,1,(0)) with modulus 2-3 = -1, C = -1
-    g = general_ghost_cycle(GeneralizedMap(3, -1), ParityPattern(1, 1, (0,)), 32)
+    g = ghost_cycle(ParityPattern(1, 1, (0,)), 32, GeneralizedMap(3, -1))
     assert g.verdict == IntegerCycle(1)
-    t = general_iterate_cycle(GeneralizedMap(3, -1), ParityPattern(1, 1, (0,)), 32)
+    t = iterate_cycle(ParityPattern(1, 1, (0,)), 32, GeneralizedMap(3, -1))
     assert t.closed and t.m[0].residue == 1

@@ -1,11 +1,9 @@
-"""The scan kernel must reproduce the cycle modules' exact arithmetic."""
-
-import pytest
+"""The scan writer's oracle kernel must reproduce the cycle modules' exact
+arithmetic."""
 
 from ghostcycles import _kernel_py, kernel
 from ghostcycles.cycle import IntegerCycle, cycle_constant, ghost_cycle, integrality_test, modulus
-from ghostcycles.generalized import GeneralizedMap, general_cycle_constant, general_ghost_cycle
-from ghostcycles.patterns import ParityPattern, length_cells
+from ghostcycles.patterns import GeneralizedMap, ParityPattern, length_cells
 
 CELLS = [(x, y) for ell in range(2, 19) for _e, y, x in length_cells(ell) if x + y == ell]
 
@@ -18,7 +16,7 @@ def test_kernel_matches_cycle_module_route():
     for x, y in CELLS:
         if x + y > 14:
             continue
-        for sigma, c, n0, quo in kernel.cell_records(x, y, 3, 1, 64):
+        for sigma, c, n0, quo in _kernel_py.cell_records(x, y, 3, 1, 64):
             p = ParityPattern(x, y, sigma)
             assert c == cycle_constant(p)
             g = ghost_cycle(p, 64)
@@ -36,21 +34,15 @@ def test_kernel_matches_generalized_route():
     for x, y in CELLS:
         if x + y > 12:
             continue
-        for sigma, c, n0, quo in kernel.cell_records(x, y, 5, 1, 64):
+        for sigma, c, n0, quo in _kernel_py.cell_records(x, y, 5, 1, 64):
             p = ParityPattern(x, y, sigma)
-            assert c == general_cycle_constant(m, p)
-            assert n0 == general_ghost_cycle(m, p, 64).n0.residue
-
-
-@pytest.mark.parametrize("precision", [0, -1])
-def test_kernel_rejects_precision_below_one(precision):
-    with pytest.raises(ValueError, match=f"precision must be >= 1, got {precision}"):
-        kernel.cell_records(6, 3, 3, 1, precision)
+            assert c == cycle_constant(p, m)
+            assert n0 == ghost_cycle(p, 64, m).n0.residue
 
 
 def test_pure_kernel_handles_cells_beyond_the_word_size():
     # x = 80 needs far more than a machine word; the kernel stays exact
-    out = kernel.cell_records(80, 1, 3, 1, 128)
+    out = _kernel_py.cell_records(80, 1, 3, 1, 128)
     (sigma, c, n0, quo) = out[0]
     p = ParityPattern(80, 1, (0,))
     assert sigma == (0,) and c == 1 and quo is None
