@@ -16,6 +16,7 @@ never into the records.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -60,7 +61,8 @@ class _Parser(argparse.ArgumentParser):
     # usage errors exit 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        _report(f"{self.prog}: error: {message}")
+        self.exit(1)
 
 
 def _int_at_least(low: int):
@@ -277,15 +279,18 @@ def _cell_worker(cell):
                     chunk[i], quo = record(pre, text, base + cs, (bn0 + ns) & mask)
                     hits.append((x, y, (*chosen, *tails[start + i]), quo, admissible))
         first = written + len(lines)  # the cell index of chunk[0]
-        while nxt < first + len(chunk):
-            r = start + nxt - first
-            text, cs, ns = rows[r]
-            c, n0 = base + cs, (bn0 + ns) & mask
-            # the line written is the one built from the replayed C, n0 and
-            # quotient; DynamicsViolation escapes as exit 2
-            chunk[r - start], quo = record(pre, text, c, n0)
-            replay_record(q, d, x, (*chosen, *tails[r]), c, n0, modulus, precision, quo)
-            nxt = next(samples, size)
+        end = first + len(chunk)
+        if nxt < end:
+            prefix = tuple(chosen)
+            while nxt < end:
+                r = start + nxt - first
+                text, cs, ns = rows[r]
+                c, n0 = base + cs, (bn0 + ns) & mask
+                # the line written is the one built from the replayed C, n0
+                # and quotient; DynamicsViolation escapes as exit 2
+                chunk[r - start], quo = record(pre, text, c, n0)
+                replay_record(q, d, x, prefix + tails[r], c, n0, modulus, precision, quo)
+                nxt = next(samples, size)
         lines.extend(chunk)
         if len(lines) >= _BLOCK_LINES:
             # bounded blocks: the writer encodes one block at a time, never
@@ -327,7 +332,14 @@ def cmd_scan(args) -> int:
     sizes = [comb(x - 1, y - 1) for x, y in shapes]
     total = sum(sizes)
     sample_size = min(_VERIFY_SAMPLE if args.verify_sample is None else args.verify_sample, total)
-    sampled = sorted(random.Random(args.seed).sample(range(total), sample_size))
+    rng = random.Random(args.seed)
+    if 2 * sample_size > total:
+        # draw the smaller side: the complement of a uniform subset is a
+        # uniform subset, and it comes out in scan order without a sort
+        skip = set(rng.sample(range(total), total - sample_size))
+        sampled = [i for i in range(total) if i not in skip]
+    else:
+        sampled = sorted(rng.sample(range(total), sample_size))
     # each cell replays the sampled scan indices that fall inside it
     cells = []
     offset = lo = 0
@@ -473,22 +485,45 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _report(message: str) -> None:
+    """Print an error to stderr as far as it can be written.
+
+    A reader may have closed stdout or stderr.  A stream that can no longer
+    be flushed is pointed at os.devnull: what it still buffers can never be
+    delivered, and the interpreter's own flush at exit would fail again and
+    exit with 120 instead of the code that main returns.
+    """
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
+        pass
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone from stdout is an i/o error here, not at exit
+        return code
     except PatternError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _report(f"usage error: {exc}")
         return 1
     except (FiberUndefined, InconclusivePeriod, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 1
     except DynamicsViolation as exc:
-        print(f"dynamics violation: {exc}", file=sys.stderr)
+        _report(f"dynamics violation: {exc}")
         return 2
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        _report(f"i/o error: {exc}")
         return 3
 
 

@@ -14,7 +14,10 @@ intermediate value is a unit, and after y odd steps the orbit closes.
 the structure guarantees it cannot happen, so an occurrence means an
 implementation bug, never a data condition.  `replay_record` makes the
 same checks with plain ints on a record's own `n0` and verdict, so that
-a scan verifies what it writes rather than a value it re-solves.
+a scan verifies what it writes rather than a value it re-solves.  It
+replays the scaled orbit A_k = 2**sigma_k * m_k, which needs one
+multiply-add and one low-bit test per odd step and never shifts the
+value down; the tests hold it to the unscaled loop on m_k.
 
 The classical single-step integer map (one halving per step) is kept
 separately as a cross-check oracle; mixing the two would break step
@@ -146,7 +149,9 @@ def replay_record(
     DynamicsViolation.
     """
     y = len(sigma)
-    exact = None if c % modulus else c // modulus
+    exact, rem = divmod(c, modulus)
+    if rem:
+        exact = None
     if quotient != exact:
         raise DynamicsViolation(y, exact, quotient, kind="verdict")
     mask = (1 << precision) - 1
@@ -160,25 +165,33 @@ def replay_record(
         if lifted & mask != n0:
             raise DynamicsViolation(y, lifted & mask, n0, kind="closure")
         n0 = lifted
-    if not n0 & 1:
+    # The orbit is replayed scaled: a = A_k = 2**sigma_k * m_k, so that
+    # A_0 = n0 << sigma_0 and A_{k+1} = q * A_k + (d << sigma_k), and step
+    # k sheds s_{k+1} bits iff v2(A_{k+1}) = sigma_{k+1} (sigma_y = x).
+    # Entering sigma_k, the loop tests v2(a) = sigma_k; at k = 0 that is
+    # the test that n0 is odd.  Only the low width + sigma_0 bits of A are
+    # the orbit's.  The bits above are never masked off: they only move up.
+    # width starts at x + 2 or more (the lift above sees to that), so bit
+    # sigma_{k+1} of A_{k+1} is always a known bit.  Step indices and
+    # observed valuations are rebuilt only once a test has failed.
+    a = n0 << sigma[0]
+    for s in sigma:
+        if a & ((2 << s) - 1) != 1 << s:
+            k = sigma.index(s)  # sigma strictly increases: its entry names the step
+            break
+        a = q * a + (d << s)
+    else:
+        if a & ((2 << x) - 1) == 1 << x:
+            if (a - (n0 << x)) & ((1 << (width + sigma[0])) - 1):
+                raise DynamicsViolation(y, 0, None, kind="closure")
+            return
+        k, s = y, x
+    if not k:
         raise DynamicsViolation(0, 0, (n0 & -n0).bit_length() - 1 if n0 else None, kind="unit")
-    # Only the low `width` bits of m are the orbit's; the bits above them
-    # are never masked off, since they only move up as the orbit sheds
-    # bits.  Each step's valuation is tested exactly, so every later m is
-    # odd.  width starts at x + 2 or more (the lift above sees to that),
-    # and the steps up to and including this one shed at most x bits, so
-    # width >= e + 2 at every step: bit e of t is always a known bit.
-    m = n0
-    for k, (lo, hi) in enumerate(zip(sigma, (*sigma[1:], x))):
-        e = hi - lo
-        t = q * m + d
-        if t & ((2 << e) - 1) != 1 << e:
-            t &= (1 << width) - 1
-            raise DynamicsViolation(k, e, (t & -t).bit_length() - 1 if t else width)
-        m = t >> e
-        width -= e
-    if (m - n0) & ((1 << width) - 1):
-        raise DynamicsViolation(y, 0, None, kind="closure")
+    lo = sigma[k - 1]
+    known = width + sigma[0] - lo  # the bits of t = q * m + d that the record fixes
+    t = (a >> lo) & ((1 << known) - 1)
+    raise DynamicsViolation(k - 1, s - lo, (t & -t).bit_length() - 1 if t else known)
 
 
 def verify_periodicity(p: ParityPattern, precision: int, map_: GeneralizedMap = COLLATZ) -> bool:

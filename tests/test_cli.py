@@ -3,6 +3,7 @@ library routes."""
 
 import inspect
 import json
+import os
 import random
 import subprocess
 import sys
@@ -208,8 +209,9 @@ IN_PROCESS = pytest.mark.parametrize("jobs", [pytest.param("1", id="in-process")
 
 @IN_PROCESS
 @pytest.mark.parametrize("argv", [[], ["--map", "3,-1"], ["--precision", "5"],
-                                  ["--verify-sample", "100", "--seed", "7"]],
-                         ids=["3n+1", "3n-1", "precision-5", "sample-100"])
+                                  ["--verify-sample", "100", "--seed", "7"],
+                                  ["--verify-sample", "200", "--seed", "7"]],
+                         ids=["3n+1", "3n-1", "precision-5", "sample-100", "sample-200"])
 def test_scan_replays_exactly_the_records_it_writes(jobs, argv, capsys, tmp_path, monkeypatch):
     calls = []
     real = cli.replay_record
@@ -232,9 +234,24 @@ def test_scan_replays_exactly_the_records_it_writes(jobs, argv, capsys, tmp_path
                         rec.get("integer_value")])
     assert len(written) == 232
     sampled = written  # 1000 covers every pattern of length <= 12
-    if "--seed" in argv:
+    if "100" in argv:
         sampled = [written[i] for i in sorted(random.Random(7).sample(range(232), 100))]
+    elif "200" in argv:  # more than half: the scan draws the 32 lines it skips
+        skip = set(random.Random(7).sample(range(232), 32))
+        sampled = [line for i, line in enumerate(written) if i not in skip]
+        assert len(sampled) == 200
     assert calls == sampled  # one call per sampled line, in line order
+
+
+@pytest.mark.parametrize("argv", [[], ["--map", "5,1"], ["--map", "3,-1"], ["--map", "7,3"]],
+                         ids=["3n+1", "5n+1", "3n-1", "7n+3"])
+def test_scan_replaying_every_record_writes_the_unverified_bytes(argv, capsys, tmp_path):
+    full, none = tmp_path / "full.jsonl", tmp_path / "none.jsonl"
+    base = ["scan", "--ell-max", "16", *argv]
+    code, out, _ = run([*base, "--verify-sample", "100000", "--out", str(full)], capsys)
+    assert code == 0 and f"verified_sample={len(full.read_bytes().splitlines())}\n" in out
+    assert run([*base, "--verify-sample", "0", "--out", str(none)], capsys)[0] == 0
+    assert full.read_bytes() == none.read_bytes()
 
 
 def _wrong_inverse(a, bits):
@@ -477,6 +494,46 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "x=3 period=5" in proc.stdout
+
+
+def _run_into_a_closed_pipe(argv, closed, buffered=True):
+    """Run the CLI with each stream named in `closed` writing into a pipe
+    whose reader is gone before the command starts, and stderr otherwise
+    captured.  Buffered streams meet the closed pipe as late as the
+    interpreter's flush at exit, where a failure would give code 120."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "ghostcycles", *argv],
+            stdout=write_end if "stdout" in closed else subprocess.DEVNULL,
+            stderr=write_end if "stderr" in closed else subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--ell-max", "12"],
+    ["fibers", "--y", "2", "--x-min", "4", "--x-max", "8"],
+    ["ghost", "--x", "4", "--y", "2", "--sigma", "0,1"],
+], ids=["scan", "fibers", "ghost"])
+@pytest.mark.parametrize("closed", [("stdout", "stderr"), ("stdout",)],
+                         ids=["stdout-and-stderr", "stdout"])
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_closed_output_pipe_exits_three(argv, closed, buffered):
+    proc = _run_into_a_closed_pipe(argv, closed, buffered)
+    assert proc.returncode == 3
+    if "stderr" not in closed:
+        assert proc.stderr.decode() == "i/o error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv", [["scan"], ["ghost", "--x", "4", "--y", "2", "--sigma", "1,2"]],
+                         ids=["argparse", "pattern"])
+def test_a_usage_error_with_stderr_closed_exits_one(argv):
+    assert _run_into_a_closed_pipe(argv, ("stderr",)).returncode == 1
 
 
 def test_console_script_usage_error_code():

@@ -5,6 +5,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ghostcycles.cycle import IntegerCycle, ghost_cycle, integrality_test
 from ghostcycles.dynamics import (
@@ -16,7 +17,12 @@ from ghostcycles.dynamics import (
     t2_step,
     verify_periodicity,
 )
-from ghostcycles.padic import PadicInt, PrecisionError, ValuationIndeterminate
+from ghostcycles.padic import (
+    PadicInt,
+    PrecisionError,
+    ValuationIndeterminate,
+    _inverse_mod_pow2,
+)
 from ghostcycles.patterns import GeneralizedMap, ParityPattern, enumerate_by_length, is_admissible
 
 
@@ -178,6 +184,106 @@ def test_replay_record_accepts_what_the_traced_replay_closes(q, d):
         assert trace.closed and trace.step_valuations == p.steps()
         assert trace.m[0].residue & ((1 << precision) - 1) == n0
         replay_record(q, d, p.x, p.sigma, c, n0, modulus, precision, quo)
+
+
+def _replay_oracle(q, d, x, sigma, c, n0, modulus, precision, quotient):
+    """replay_record's reference: the same checks in the same order, with the
+    orbit replayed on the unit m itself (t = q*m + d, shift out e bits)."""
+    y = len(sigma)
+    exact = None if c % modulus else c // modulus
+    if quotient != exact:
+        raise DynamicsViolation(y, exact, quotient, kind="verdict")
+    mask = (1 << precision) - 1
+    if n0 >> precision or (n0 * modulus - c) & mask:
+        raise DynamicsViolation(y, c & mask, (n0 * modulus) & mask, kind="closure")
+    width = precision
+    if precision <= x + 1:
+        width = x + 2
+        wide = (1 << width) - 1
+        lifted = (c * _inverse_mod_pow2(modulus & wide, width)) & wide
+        if lifted & mask != n0:
+            raise DynamicsViolation(y, lifted & mask, n0, kind="closure")
+        n0 = lifted
+    if not n0 & 1:
+        raise DynamicsViolation(0, 0, (n0 & -n0).bit_length() - 1 if n0 else None, kind="unit")
+    m = n0
+    for k, (lo, hi) in enumerate(zip(sigma, (*sigma[1:], x))):
+        e = hi - lo
+        t = q * m + d
+        if t & ((2 << e) - 1) != 1 << e:
+            t &= (1 << width) - 1
+            raise DynamicsViolation(k, e, (t & -t).bit_length() - 1 if t else width)
+        m = t >> e
+        width -= e
+    if (m - n0) & ((1 << width) - 1):
+        raise DynamicsViolation(y, 0, None, kind="closure")
+
+
+def _outcome(replay, *record):
+    try:
+        replay(*record)
+    except DynamicsViolation as exc:
+        return exc.kind, exc.step, exc.expected, exc.observed
+    return "accepted"
+
+
+@st.composite
+def _replay_inputs(draw):
+    """A map, a pattern up to ell 40, a precision around the lift, and
+    what the perturbations need: a bit, a sign, another sigma of the cell
+    and a first sigma entry."""
+    q, d = draw(st.sampled_from([(3, 1), (5, 1), (3, -1), (7, 3)])
+                | st.tuples(st.sampled_from([3, 5, 7, 9]), st.integers(-15, 15).filter(lambda v: v % 2)))
+    x = draw(st.integers(1, 39))
+    y = draw(st.integers(1, min(x, 40 - x)))
+
+    def sigma():
+        if y == 1:
+            return (0,)
+        return (0, *sorted(draw(st.sets(st.integers(1, x - 1), min_size=y - 1, max_size=y - 1))))
+
+    precision = draw(st.sampled_from([x, x + 1, x + 2, 64, x + 64]))
+    return (q, d, ParityPattern(x, y, sigma()), precision, draw(st.integers(0, precision - 1)),
+            draw(st.sampled_from([-1, 1])), sigma(), draw(st.sampled_from([1, 2])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_replay_inputs())
+@example((3, 1, ParityPattern(5, 2, (0, 3)), 64, 0, 1, (0, 3), 1))  # sigma (1, 3): step 0 fails
+def test_replay_record_matches_the_m_form_oracle(case):
+    q, d, p, precision, bit, step, other, first = case
+    g = ghost_cycle(p, precision, GeneralizedMap(q, d))
+    c, n0, modulus = g.constant, g.n0.residue, g.modulus
+    quo = g.verdict.value if isinstance(g.verdict, IntegerCycle) else None
+    x, sigma, mask = p.x, p.sigma, (1 << precision) - 1
+    shifted = (quo if quo is not None else c // modulus) + step
+    records = [
+        (sigma, c, n0, quo),
+        (sigma, c, n0 ^ (1 << bit), quo),
+        # C, n0 and quotient moved together, so only the orbit can tell
+        (sigma, c + (modulus << bit), (n0 + (1 << bit)) & mask,
+         None if quo is None else quo + (1 << bit)),
+        (sigma, c + step * modulus, n0, quo),
+        (sigma, c + step * modulus, n0, None if quo is None else quo + step),
+        (sigma, c, n0, shifted),
+        (other, c, n0, quo),
+    ]
+    if first < (sigma[1] if p.y > 1 else x):
+        records.append(((first, *sigma[1:]), c, n0, quo))
+    assert _outcome(replay_record, q, d, x, sigma, c, n0, modulus, precision, quo) == "accepted"
+    for sig, c_, n0_, quo_ in records:
+        record = (q, d, x, sig, c_, n0_, modulus, precision, quo_)
+        assert _outcome(replay_record, *record) == _outcome(_replay_oracle, *record), record
+
+
+def test_replay_record_starts_the_orbit_at_sigma_0():
+    # the record of (x=5, y=2, sigma=(0, 3)) replayed with sigma (1, 3): an
+    # orbit started at sigma_0 = 0 would shed the record's own 3 bits at
+    # step 0 and accept it
+    g = ghost_cycle(ParityPattern(5, 2, (0, 3)), 64)
+    record = (3, 1, 5, (1, 3), g.constant, g.n0.residue, g.modulus, 64, None)
+    assert _outcome(replay_record, *record) == _outcome(_replay_oracle, *record)
+    assert _outcome(replay_record, *record)[:3] == ("valuation", 0, 2)
 
 
 def test_verify_periodicity_examples():
