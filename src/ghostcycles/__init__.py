@@ -9,69 +9,37 @@ dynamically, tests integrality, and quantifies how the divisibility
 structure obstructs a Presburger-style description.
 """
 
-from .cycle import (
-    GHOST,
-    CertifiedGhost,
-    CertifiedInteger,
-    Ghost,
-    GhostCycle,
-    InadmissiblePattern,
-    Inconclusive,
-    IntegerCycle,
-    cycle_constant,
-    ghost_cycle,
-    integrality_test,
-    modulus,
-    prefix_certificate,
-)
-from .dynamics import (
-    CycleTrace,
-    DynamicsViolation,
-    iterate_cycle,
-    iterate_integer,
-    t2_step,
-    verify_periodicity,
-)
-from .kernel import backend_name
-from .padic import NotAUnit, PadicInt, PrecisionError, ValuationIndeterminate, invert_unit
-from .patterns import (
-    COLLATZ,
-    GeneralizedMap,
-    ParityPattern,
-    PatternError,
-    enumerate_by_length,
-    enumerate_sigmas,
-    is_admissible,
-    length_cells,
-)
-from .semilinear import (
-    FiberPeriodRecord,
-    LinearSet,
-    SemilinearSet,
-    dy_membership,
-    fiber_eventual_period,
-    fiber_period_bruteforce,
-    fiber_period_exact,
-    membership,
-    nonsemilinearity_witness,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "PadicInt", "invert_unit",
-    "PrecisionError", "ValuationIndeterminate", "NotAUnit",
-    "ParityPattern", "PatternError", "is_admissible", "GeneralizedMap", "COLLATZ",
-    "enumerate_sigmas", "enumerate_by_length", "length_cells",
-    "IntegerCycle", "Ghost", "GHOST", "GhostCycle",
-    "CertifiedInteger", "CertifiedGhost", "Inconclusive", "InadmissiblePattern",
-    "cycle_constant", "modulus", "integrality_test", "ghost_cycle", "prefix_certificate",
-    "CycleTrace", "DynamicsViolation",
-    "t2_step", "iterate_cycle", "verify_periodicity", "iterate_integer",
-    "LinearSet", "SemilinearSet", "FiberPeriodRecord",
-    "membership", "dy_membership",
-    "fiber_period_exact", "fiber_period_bruteforce", "fiber_eventual_period",
-    "nonsemilinearity_witness",
-    "backend_name",
-    "__version__",
-]
+# each public name -> the submodule that defines it.  `import ghostcycles`
+# loads no submodule: a name is imported on first use (PEP 562), so a
+# CLI command compiles only the modules it runs.
+_SOURCE = {
+    **dict.fromkeys(("PadicInt", "invert_unit", "PrecisionError", "ValuationIndeterminate",
+                     "NotAUnit"), "padic"),
+    **dict.fromkeys(("ParityPattern", "PatternError", "is_admissible", "GeneralizedMap",
+                     "COLLATZ", "enumerate_sigmas", "enumerate_by_length", "length_cells"),
+                    "patterns"),
+    **dict.fromkeys(("IntegerCycle", "Ghost", "GHOST", "GhostCycle", "CertifiedInteger",
+                     "CertifiedGhost", "Inconclusive", "InadmissiblePattern", "cycle_constant",
+                     "modulus", "integrality_test", "ghost_cycle", "prefix_certificate"),
+                    "cycle"),
+    **dict.fromkeys(("CycleTrace", "DynamicsViolation", "t2_step", "iterate_cycle",
+                     "verify_periodicity", "iterate_integer"), "dynamics"),
+    **dict.fromkeys(("LinearSet", "SemilinearSet", "FiberPeriodRecord", "membership",
+                     "dy_membership", "fiber_period_exact", "fiber_period_bruteforce",
+                     "fiber_eventual_period", "nonsemilinearity_witness"), "semilinear"),
+    "backend_name": "kernel",
+}
+
+__all__ = [*_SOURCE, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 import time
 from bisect import bisect_left
@@ -35,20 +34,25 @@ from .patterns import (
     is_admissible,
     length_cells,
 )
-from .records import ghost_record, trace_record
-from .semilinear import (
-    FiberUndefined,
-    InconclusivePeriod,
-    fiber_period_bruteforce,
-    fiber_period_exact,
-    nonsemilinearity_witness,
-)
+
+# A command imports what only it runs inside itself, so a scan loads
+# neither `records` nor `semilinear`.  The semilinear functions are served
+# by __getattr__ and called as attributes of this module (`_this`), so that
+# a name set on the module, such as the benchmark's traced wrapper or a
+# test's stand-in, is the one that runs.
+_this = sys.modules[__name__]
+_SEMILINEAR = {"fiber_period_exact", "fiber_period_bruteforce", "nonsemilinearity_witness"}
+
 
 def __getattr__(name: str):
-    # perfbench/layers.py hooks both names, and a traced metric whose hook
-    # is missing reads null.  No command uses a process pool, so
-    # concurrent.futures (and with it multiprocessing) is imported only
-    # when asked for; every map's orbit is traced by the one iterate_cycle.
+    # perfbench/layers.py also hooks ProcessPoolExecutor and
+    # general_iterate_cycle, and a traced metric whose hook is missing reads
+    # null.  No command uses a process pool, so concurrent.futures (and with
+    # it multiprocessing) is imported only when asked for; every map's orbit
+    # is traced by the one iterate_cycle.
+    if name in _SEMILINEAR:
+        from . import semilinear
+        return getattr(semilinear, name)
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
         return ProcessPoolExecutor
@@ -130,9 +134,8 @@ def _emit(lines, out_path: str | None) -> None:
 # ---------------------------------------------------------------- ghost
 
 
-def _render_ghost_text(g, t, q: int | None = None, d: int | None = None) -> list[str]:
+def _render_ghost_text(g, t, rec, q: int | None = None, d: int | None = None) -> list[str]:
     p = g.pattern
-    rec = ghost_record(g, q, d)
     lines = []
     head = f"pattern x={p.x} y={p.y} sigma={','.join(map(str, p.sigma))} ell={p.ell}"
     if q is not None:
@@ -157,6 +160,8 @@ def _render_ghost_text(g, t, q: int | None = None, d: int | None = None) -> list
 def cmd_ghost(args) -> int:
     import json
 
+    from .records import ghost_record, trace_record
+
     _check_format(args, ("text", "json"), "ghost")
     p = ParityPattern(args.x, args.y, _parse_sigma(args.sigma))
     qd = getattr(args, "map", None)
@@ -164,11 +169,12 @@ def cmd_ghost(args) -> int:
     g = ghost_cycle(p, args.precision, map_)
     t = iterate_cycle(p, args.precision, map_)
     q, d = (None, None) if qd is None else (map_.q, map_.d)  # plain `ghost` writes no map
+    rec = ghost_record(g, q, d)
     if args.format == "json":
-        payload = {"ghost": ghost_record(g, q, d), "trace": trace_record(t)}
+        payload = {"ghost": rec, "trace": trace_record(t)}
         _emit([json.dumps(payload, separators=(",", ":"))], args.out)
     else:
-        _emit(_render_ghost_text(g, t, q, d), args.out)
+        _emit(_render_ghost_text(g, t, rec, q, d), args.out)
     return 0
 
 
@@ -321,6 +327,8 @@ def _cell_worker(cell):
 
 
 def cmd_scan(args) -> int:
+    import random
+
     _check_format(args, ("json",), "scan")
     map_ = getattr(args, "map", None) or COLLATZ
     include_map = map_ != COLLATZ
@@ -385,6 +393,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_fibers(args) -> int:
+    from .semilinear import InconclusivePeriod
+
     _check_format(args, ("csv",), "fibers")
     if args.x_min > args.x_max:
         raise ValueError(f"--x-min {args.x_min} exceeds --x-max {args.x_max}")
@@ -392,10 +402,10 @@ def cmd_fibers(args) -> int:
     for x in range(args.x_min, args.x_max + 1):
         if not is_admissible(x, args.y):
             continue
-        exact = fiber_period_exact(args.y, x).period
+        exact = _this.fiber_period_exact(args.y, x).period
         if args.scan_bound is not None:
             try:
-                brute = fiber_period_bruteforce(args.y, x, args.scan_bound)
+                brute = _this.fiber_period_bruteforce(args.y, x, args.scan_bound)
                 agree = "true" if brute == exact else "false"
                 rows.append(f"{args.y},{x},{exact},{brute},{agree}")
             except InconclusivePeriod:
@@ -413,7 +423,7 @@ def cmd_witness(args) -> int:
     import json
 
     _check_format(args, ("text", "json"), "witness")
-    rec = nonsemilinearity_witness(args.y, args.bound)
+    rec = _this.nonsemilinearity_witness(args.y, args.bound)
     if args.format == "json":
         payload = {"y": rec.y, "M": str(args.bound), "x": rec.x, "period": str(rec.period)}
         _emit([json.dumps(payload, separators=(",", ":"))], args.out)
@@ -516,7 +526,7 @@ def main(argv=None) -> int:
     except PatternError as exc:
         _report(f"usage error: {exc}")
         return 1
-    except (FiberUndefined, InconclusivePeriod, ValueError) as exc:
+    except ValueError as exc:
         _report(f"error: {exc}")
         return 1
     except DynamicsViolation as exc:

@@ -16,22 +16,23 @@ later).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .padic import PadicInt, invert_unit
-from .patterns import COLLATZ, GeneralizedMap, ParityPattern, is_admissible
+from .patterns import COLLATZ, Frozen, GeneralizedMap, ParityPattern, _set, is_admissible
 
 
-@dataclass(frozen=True, slots=True)
-class IntegerCycle:
+class IntegerCycle(Frozen):
     """The solution is the exact (signed) integer `value`."""
 
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
-class Ghost:
+class Ghost(Frozen):
     """The solution exists in the 2-adics but is not an integer."""
+
+    __slots__ = ()
 
 
 GHOST = Ghost()
@@ -39,19 +40,19 @@ GHOST = Ghost()
 Verdict = IntegerCycle | Ghost
 
 
-@dataclass(frozen=True, slots=True)
-class CertifiedInteger:
-    value: int
+class CertifiedInteger(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
-class CertifiedGhost:
-    pass
+class CertifiedGhost(Frozen):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Inconclusive:
-    pass
+class Inconclusive(Frozen):
+    __slots__ = ()
 
 
 Certificate = CertifiedInteger | CertifiedGhost | Inconclusive
@@ -85,15 +86,18 @@ def integrality_test(p: ParityPattern, map_: GeneralizedMap = COLLATZ) -> Verdic
     return IntegerCycle(q) if r == 0 else GHOST
 
 
-@dataclass(frozen=True, slots=True)
-class GhostCycle:
+class GhostCycle(Frozen):
     """A pattern with its cycle data and the solution at a working precision."""
 
-    pattern: ParityPattern
-    constant: int
-    modulus: int
-    n0: PadicInt
-    verdict: Verdict
+    __slots__ = ("pattern", "constant", "modulus", "n0", "verdict")
+
+    def __init__(self, pattern: ParityPattern, constant: int, modulus: int, n0: PadicInt,
+                 verdict: Verdict) -> None:
+        _set(self, "pattern", pattern)
+        _set(self, "constant", constant)
+        _set(self, "modulus", modulus)
+        _set(self, "n0", n0)
+        _set(self, "verdict", verdict)
 
 
 def ghost_cycle(p: ParityPattern, precision: int, map_: GeneralizedMap = COLLATZ) -> GhostCycle:

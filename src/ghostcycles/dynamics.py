@@ -27,12 +27,11 @@ time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .cycle import ghost_cycle
 from .padic import PadicInt, PrecisionError, ValuationIndeterminate, _inverse_mod_pow2
-from .patterns import COLLATZ, GeneralizedMap, ParityPattern
+from .patterns import COLLATZ, Frozen, GeneralizedMap, ParityPattern, _set
 
 
 class Branch(Enum):
@@ -54,15 +53,18 @@ class DynamicsViolation(RuntimeError):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class CycleTrace:
+class CycleTrace(Frozen):
     """The unit sequence m_0..m_y of one full traversal, with the halving
     count observed at each odd step and the precision left at the end."""
 
-    pattern: ParityPattern
-    m: tuple[PadicInt, ...]
-    step_valuations: tuple[int, ...]
-    final_precision: int
+    __slots__ = ("pattern", "m", "step_valuations", "final_precision")
+
+    def __init__(self, pattern: ParityPattern, m: tuple[PadicInt, ...],
+                 step_valuations: tuple[int, ...], final_precision: int) -> None:
+        _set(self, "pattern", pattern)
+        _set(self, "m", m)
+        _set(self, "step_valuations", step_valuations)
+        _set(self, "final_precision", final_precision)
 
     @property
     def total_halvings(self) -> int:

@@ -12,7 +12,7 @@ one doubling at a time, so it costs O(log k) big-int multiplies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .patterns import Frozen, _set
 
 
 class PrecisionError(ValueError):
@@ -31,18 +31,17 @@ class NotAUnit(ValueError):
     """Inversion requested for an even residue."""
 
 
-@dataclass(frozen=True, slots=True)
-class PadicInt:
+class PadicInt(Frozen):
     """A 2-adic integer known through its low `precision` bits."""
 
-    residue: int
-    precision: int
+    __slots__ = ("residue", "precision")
 
-    def __post_init__(self) -> None:
-        if self.precision < 1:
-            raise PrecisionError(f"precision must be >= 1, got {self.precision}")
+    def __init__(self, residue: int, precision: int) -> None:
+        if precision < 1:
+            raise PrecisionError(f"precision must be >= 1, got {precision}")
         # canonical reduction keeps equality structural
-        object.__setattr__(self, "residue", self.residue & ((1 << self.precision) - 1))
+        _set(self, "residue", residue & ((1 << precision) - 1))
+        _set(self, "precision", precision)
 
     def __str__(self) -> str:
         return f"{self.residue} + O(2^{self.precision})"

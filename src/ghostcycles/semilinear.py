@@ -41,10 +41,9 @@ costs one test where the exhaustive search made P of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
-from .patterns import is_admissible
+from .patterns import Frozen, _set, is_admissible
 
 
 class DimensionMismatch(ValueError):
@@ -59,56 +58,58 @@ class InconclusivePeriod(RuntimeError):
     """No period could be established inside the scanned window."""
 
 
-@dataclass(frozen=True, slots=True)
-class LinearSet:
+class LinearSet(Frozen):
     """b + N-combinations of period vectors, all over N^d."""
 
-    base: tuple[int, ...]
-    periods: tuple[tuple[int, ...], ...]
+    __slots__ = ("base", "periods")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "base", tuple(self.base))
-        object.__setattr__(self, "periods", tuple(tuple(v) for v in self.periods))
-        d = len(self.base)
+    def __init__(self, base: tuple[int, ...], periods: tuple[tuple[int, ...], ...]) -> None:
+        base = tuple(base)
+        periods = tuple(tuple(v) for v in periods)
+        d = len(base)
         if d < 1:
             raise ValueError("dimension must be >= 1")
-        if any(c < 0 for c in self.base):
-            raise ValueError(f"base must be over N, got {self.base}")
-        for v in self.periods:
+        if any(c < 0 for c in base):
+            raise ValueError(f"base must be over N, got {base}")
+        for v in periods:
             if len(v) != d:
                 raise DimensionMismatch(f"period vector {v} has dimension {len(v)}, expected {d}")
             if any(c < 0 for c in v):
                 raise ValueError(f"period vectors must be over N, got {v}")
+        _set(self, "base", base)
+        _set(self, "periods", periods)
 
     @property
     def dimension(self) -> int:
         return len(self.base)
 
 
-@dataclass(frozen=True, slots=True)
-class SemilinearSet:
-    components: tuple[LinearSet, ...]
+class SemilinearSet(Frozen):
+    __slots__ = ("components",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
-        if not self.components:
+    def __init__(self, components: tuple[LinearSet, ...]) -> None:
+        components = tuple(components)
+        if not components:
             raise ValueError("a semilinear set needs at least one component")
-        d = self.components[0].dimension
-        if any(c.dimension != d for c in self.components):
+        d = components[0].dimension
+        if any(c.dimension != d for c in components):
             raise DimensionMismatch("all components must share one dimension")
+        _set(self, "components", components)
 
     @property
     def dimension(self) -> int:
         return self.components[0].dimension
 
 
-@dataclass(frozen=True, slots=True)
-class FiberPeriodRecord:
+class FiberPeriodRecord(Frozen):
     """One fiber of the divisibility predicate: gap 2**x - 3**y."""
 
-    y: int
-    x: int
-    period: int
+    __slots__ = ("y", "x", "period")
+
+    def __init__(self, y: int, x: int, period: int) -> None:
+        _set(self, "y", y)
+        _set(self, "x", x)
+        _set(self, "period", period)
 
 
 def _linear_contains(component: LinearSet, point: Sequence[int]) -> bool:
@@ -209,11 +210,14 @@ def fiber_period_bruteforce(y: int, x: int, scan_bound: int) -> int:
     """
     if not is_admissible(x, y):
         raise FiberUndefined(f"(x={x}, y={y}) is inadmissible: 2^x <= 3^y")
-    bits = 0
+    # the indicator's binary digits, most significant (C = scan_bound)
+    # first, turned into an int once: or-ing in one bit per member would
+    # copy the growing int once per member
+    digits = bytearray(b"0") * scan_bound
     for c in range(1, scan_bound + 1):
         if dy_membership(y, x, c):
-            bits |= 1 << (c - 1)
-    return _minimal_eventual_period(bits, scan_bound)
+            digits[scan_bound - c] = 49  # ord("1")
+    return _minimal_eventual_period(int(digits, 2), scan_bound)
 
 
 def fiber_indicator(s: SemilinearSet, x: int, bound: int) -> int:

@@ -42,6 +42,10 @@ def test_traced_run_resolves_every_hook(argv, tmp_path):
     values = layers.layer_metrics(doc)
     assert [name for name, value in values.items() if value is None] == []
     assert abs(values["trace.unattributed_s"]) <= 1e-6
+    if argv[0] == "fibers":
+        # rows x = 4, 5, 6 each call the hooked cli.fiber_period_bruteforce;
+        # a call that bypassed the hook would read 0 here, not null
+        assert values["semilinear.rows"] == 3
     if "--sigma" in argv:
         # the one command whose orbit is traced through the hooked names
         assert values["dynamics.orbits_verified"] == 1

@@ -549,11 +549,14 @@ def test_console_script_usage_error_code():
 @pytest.mark.parametrize(
     "argv",
     [["scan", "--ell-max", "2"],
-     ["fibers", "--y", "2", "--x-min", "4", "--x-max", "4", "--scan-bound", "64"]],
-    ids=["scan", "fibers"],
+     ["fibers", "--y", "2", "--x-min", "4", "--x-max", "4", "--scan-bound", "64"],
+     ["general", "--map", "5,1", "--ell-max", "2"]],
+    ids=["scan", "fibers", "general"],
 )
 def test_cli_start_loads_no_pool_or_json_module(argv):
-    # -X importtime lists on stderr every module the run imports
+    # -X importtime lists on stderr every module the run imports.  No start
+    # needs a pool, json, or dataclasses (with inspect), and a scan loads
+    # neither the record builders nor the semilinear module.
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "ghostcycles", *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -561,7 +564,10 @@ def test_cli_start_loads_no_pool_or_json_module(argv):
               if line.startswith("import time:")}
     assert "ghostcycles.cli" in loaded
     assert {name for name in loaded
-            if name.split(".")[0] in ("concurrent", "multiprocessing", "json")} == set()
+            if name.split(".")[0] in ("concurrent", "multiprocessing", "json",
+                                      "dataclasses", "inspect")} == set()
+    if argv[0] != "fibers":
+        assert {"ghostcycles.records", "ghostcycles.semilinear"} & loaded == set()
 
 
 def _scan_peak_rss_kb(ell_max):

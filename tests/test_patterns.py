@@ -1,11 +1,30 @@
-"""Parity-pattern validation, admissibility, and enumeration order/counts."""
+"""Parity-pattern validation, admissibility, and enumeration order/counts;
+the immutable value classes and the package's lazy names."""
 
+import copy
+import pickle
+import subprocess
+import sys
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+import ghostcycles
+from ghostcycles.cycle import (
+    GHOST,
+    CertifiedGhost,
+    CertifiedInteger,
+    Ghost,
+    GhostCycle,
+    Inconclusive,
+    IntegerCycle,
+    ghost_cycle,
+)
+from ghostcycles.dynamics import CycleTrace, iterate_cycle
+from ghostcycles.padic import PadicInt
 from ghostcycles.patterns import (
+    GeneralizedMap,
     ParityPattern,
     PatternError,
     enumerate_by_length,
@@ -13,6 +32,7 @@ from ghostcycles.patterns import (
     is_admissible,
     length_cells,
 )
+from ghostcycles.semilinear import FiberPeriodRecord, LinearSet, SemilinearSet
 
 
 def binom_oracle(n, k):
@@ -136,7 +156,69 @@ def test_length_cells_cover_exactly_the_constructible_cells(ell_max):
     }
 
 
-def test_patterns_are_immutable():
-    p = ParityPattern(4, 2, (0, 1))
+_P = ParityPattern(4, 2, (0, 1))
+# one value of every immutable class, and where the class has fields, a
+# value of it that differs from the first in one field
+_VALUES = {
+    ParityPattern: (_P, ParityPattern(4, 2, (0, 2))),
+    GeneralizedMap: (GeneralizedMap(5, 1), GeneralizedMap(5, -1)),
+    PadicInt: (PadicInt(19, 8), PadicInt(19, 9)),
+    IntegerCycle: (IntegerCycle(13), IntegerCycle(-13)),
+    Ghost: (GHOST, None),
+    CertifiedInteger: (CertifiedInteger(1), CertifiedInteger(2)),
+    CertifiedGhost: (CertifiedGhost(), None),
+    Inconclusive: (Inconclusive(), None),
+    GhostCycle: (ghost_cycle(_P, 16), ghost_cycle(_P, 17)),
+    CycleTrace: (iterate_cycle(_P, 16), iterate_cycle(_P, 17)),
+    LinearSet: (LinearSet((1, 2), ((0, 3),)), LinearSet((1, 2), ((0, 4),))),
+    SemilinearSet: (SemilinearSet([LinearSet((0, 0), ())]),
+                    SemilinearSet([LinearSet((0, 1), ())])),
+    FiberPeriodRecord: (FiberPeriodRecord(2, 4, 7), FiberPeriodRecord(2, 5, 23)),
+}
+
+
+@pytest.mark.parametrize("cls", list(_VALUES), ids=lambda cls: cls.__name__)
+def test_patterns_are_immutable(cls):
+    value, other = _VALUES[cls]
+    assert type(value) is cls
+    fields = cls.__slots__
+    assert not hasattr(value, "__dict__")
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    # equal and hashed by value, and built again from keywords
+    again = cls(**{name: getattr(value, name) for name in fields})
+    assert again is not value
+    assert again == value and not again != value and hash(again) == hash(value)
+    if other is not None:
+        assert other != value and not other == value
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is cls and twin == value and hash(twin) == hash(value)
+    # the repr names every field, and reads back as the value
+    assert repr(value).startswith(f"{cls.__name__}({fields[0]}=" if fields else f"{cls.__name__}()")
+    assert eval(repr(value), {c.__name__: c for c in _VALUES}) == value
+
+
+def test_value_classes_equal_only_their_own_class():
+    assert repr(IntegerCycle(13)) == "IntegerCycle(value=13)"
+    assert IntegerCycle(1) != CertifiedInteger(1)
+    assert ParityPattern(4, 2, (0, 1)) != (4, 2, (0, 1))
+    assert len({GHOST, CertifiedGhost(), Inconclusive()}) == 3  # three fieldless classes
+    assert ParityPattern(x=4, y=2, sigma=[0, 1]) == _P  # keywords, and sigma made a tuple
+    with pytest.raises(PatternError):
+        pickle.loads(pickle.dumps(_P).replace(b"K\x04", b"K\x00"))  # validated again: x = 0
+
+
+def test_package_names_load_lazily():
+    # a bare import loads no submodule; each public name imports its own
+    probe = "import sys, ghostcycles; print([m for m in sys.modules if m.startswith('ghostcycles')])"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['ghostcycles']"
+    for name in ghostcycles.__all__:
+        assert getattr(ghostcycles, name) is not None
+    assert ghostcycles.ParityPattern is ParityPattern
     with pytest.raises(AttributeError):
-        p.x = 5
+        ghostcycles.no_such_name

@@ -86,6 +86,26 @@ def test_fiber_period_bruteforce_examples():
         fiber_period_bruteforce(2, 3, 30)
 
 
+def test_bruteforce_queries_each_c_once_and_detects_on_its_indicator(monkeypatch):
+    from ghostcycles import semilinear
+
+    queries, seen = [], []
+
+    def counted(y, x, c):
+        queries.append(c)
+        return dy_membership(y, x, c)
+
+    def detect(bits, length):
+        seen.append((bits, length))
+        return _minimal_eventual_period(bits, length)
+
+    monkeypatch.setattr(semilinear, "dy_membership", counted)
+    monkeypatch.setattr(semilinear, "_minimal_eventual_period", detect)
+    assert fiber_period_bruteforce(2, 4, 100) == 7
+    assert queries == list(range(1, 101))  # one membership query per C, in order
+    assert seen == [(sum(1 << (c - 1) for c in range(7, 101, 7)), 100)]
+
+
 def test_bruteforce_inconclusive_when_window_too_small():
     with pytest.raises(InconclusivePeriod):
         fiber_period_bruteforce(1, 5, 40)  # period 29 needs roughly 3x that
