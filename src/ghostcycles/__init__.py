@@ -20,10 +20,9 @@ _SOURCE = {
     **dict.fromkeys(("ParityPattern", "PatternError", "is_admissible", "GeneralizedMap",
                      "COLLATZ", "enumerate_sigmas", "enumerate_by_length", "length_cells"),
                     "patterns"),
-    **dict.fromkeys(("IntegerCycle", "Ghost", "GHOST", "GhostCycle", "CertifiedInteger",
-                     "CertifiedGhost", "Inconclusive", "InadmissiblePattern", "cycle_constant",
-                     "modulus", "integrality_test", "ghost_cycle", "prefix_certificate"),
-                    "cycle"),
+    **dict.fromkeys(("IntegerCycle", "Ghost", "GHOST", "GhostCycle", "Inconclusive",
+                     "InadmissiblePattern", "cycle_constant", "modulus", "integrality_test",
+                     "ghost_cycle", "prefix_certificate"), "cycle"),
     **dict.fromkeys(("CycleTrace", "DynamicsViolation", "t2_step", "iterate_cycle",
                      "verify_periodicity", "iterate_integer"), "dynamics"),
     **dict.fromkeys(("LinearSet", "SemilinearSet", "FiberPeriodRecord", "membership",

@@ -21,6 +21,7 @@ import sys
 import time
 from bisect import bisect_left
 from contextlib import nullcontext
+from itertools import chain
 from math import comb
 
 from .cycle import ghost_cycle
@@ -134,12 +135,12 @@ def _emit(lines, out_path: str | None) -> None:
 # ---------------------------------------------------------------- ghost
 
 
-def _render_ghost_text(g, t, rec, q: int | None = None, d: int | None = None) -> list[str]:
+def _render_ghost_text(g, t, rec) -> list[str]:
     p = g.pattern
     lines = []
     head = f"pattern x={p.x} y={p.y} sigma={','.join(map(str, p.sigma))} ell={p.ell}"
-    if q is not None:
-        head += f" map={q}n{d:+d}"
+    if "q" in rec:
+        head += f" map={rec['q']}n{rec['d']:+d}"
     lines.append(head + (" admissible" if rec["pattern"]["admissible"] else " inadmissible"))
     lines.append(f"C = {g.constant}")
     lines.append(f"modulus = {g.modulus}")
@@ -164,17 +165,15 @@ def cmd_ghost(args) -> int:
 
     _check_format(args, ("text", "json"), "ghost")
     p = ParityPattern(args.x, args.y, _parse_sigma(args.sigma))
-    qd = getattr(args, "map", None)
-    map_ = qd or COLLATZ
+    map_ = getattr(args, "map", None) or COLLATZ
     g = ghost_cycle(p, args.precision, map_)
     t = iterate_cycle(p, args.precision, map_)
-    q, d = (None, None) if qd is None else (map_.q, map_.d)  # plain `ghost` writes no map
-    rec = ghost_record(g, q, d)
+    rec = ghost_record(g, map_)
     if args.format == "json":
-        payload = {"ghost": rec, "trace": trace_record(t)}
+        payload = {"ghost": rec, "trace": trace_record(t, map_)}
         _emit([json.dumps(payload, separators=(",", ":"))], args.out)
     else:
-        _emit(_render_ghost_text(g, t, rec, q, d), args.out)
+        _emit(_render_ghost_text(g, t, rec), args.out)
     return 0
 
 
@@ -183,44 +182,44 @@ def cmd_ghost(args) -> int:
 
 _BLOCK_LINES = 4096
 _VERIFY_SAMPLE = 8  # --verify-sample when not given
-# The leaf of a scan cell's walk writes the last _TAIL_DEPTH sigma entries
-# from a per-cell table.  Building every line of a 3n+1 scan to ell 28 took
-# 0.85 s of CPU with a one-entry leaf, 0.69 s at depth 2 and 0.59 s at
+# The base case of a scan cell's walk writes the last _TAIL_DEPTH sigma
+# entries from a per-cell table.  Building every line of a 3n+1 scan to
+# ell 28 took 0.85 s of CPU at depth 1, 0.69 s at depth 2 and 0.59 s at
 # depth 3 (median of four best-of-7 runs, 2 vCPUs, Python 3.11); depth 4
 # was within the noise of depth 3, with tables up to four times larger.
 _TAIL_DEPTH = 3
 
 
-def _cell_worker(cell):
+def _cell_worker(x, y, map_, precision, verify, hits):
     """One cell of a scan: its JSONL lines, each record built once, and
     the replay of its sampled records.
 
     Sigma is walked in lexicographic order by recursion on its prefix,
-    every entry but the last `depth` = min(_TAIL_DEPTH, y - 1).  Each level
-    carries the prefix's part of C, of its n0 residue and of its text.
-    Once per cell, a table holds every strictly increasing tail of the
-    last `depth` entries, with its text and its parts of C and n0, built
-    level by level in time proportional to its size.  The tails that
-    complete a prefix whose last entry is lo - 1 are exactly the table's
-    rows from offset[lo] on, so a leaf writes all of its records in one list
-    comprehension: per record one add, one add-and-mask, one exact
-    division test and one f-string, with no Python call or slice of its
-    own.  At ell 28 a leaf holds about 18 records, where a one-entry
-    leaf held about 2.  Integral records (the comprehension leaves None)
+    every entry but the last `depth` = min(_TAIL_DEPTH, y - 1), so the
+    prefix always starts with sigma_0 = 0.  Each level carries the
+    prefix's part of C, of its n0 residue and of its text.  Once per cell,
+    a table holds every strictly increasing tail of the last `depth`
+    entries (one empty row for y = 1), with its text and its parts of C
+    and n0, built level by level in time proportional to its size.  The
+    tails that complete a prefix whose last entry is lo - 1 are exactly
+    the table's rows from offset[lo] on, so the walk's base case writes
+    them in one list comprehension: per record one add, one add-and-mask,
+    one exact division test and one f-string, with no Python call or
+    slice of its own.  Integral records (the comprehension leaves None)
     and sampled records are then rewritten one by one by `record`.
 
     Every field is an int or a digit string, so the fixed template writes
-    the bytes of json.dumps(ghost_record(...), separators=(",", ":")) with
-    nothing to escape.  `verify` holds sorted cell-local record indices;
-    each of those records is replayed from the very sigma, C, n0 and
-    quotient that its written line is built from.
+    the bytes of json.dumps(ghost_record(g, map_), separators=(",", ":"))
+    with nothing to escape.  `verify` holds sorted cell-local record
+    indices; each of those records is replayed from the very sigma, C, n0
+    and quotient that its written line is built from.  Each integral
+    record appends (x, y, sigma, quotient, admissible) to `hits`.
 
     A generator: it yields the lines as blocks of at least _BLOCK_LINES
     lines (the last may be shorter), each as soon as it fills, so a scan
-    never holds more than one block of a cell.  It returns the number of
-    admissible patterns and the integral hits.
+    never holds more than one block of a cell.
     """
-    x, y, q, d, precision, include_map, verify = cell
+    q, d = map_.q, map_.d
     mask = (1 << precision) - 1
     modulus = (1 << x) - q**y
     inv = _inverse_mod_pow2(modulus & mask, precision)
@@ -229,7 +228,7 @@ def _cell_worker(cell):
     mid = f'],"ell":{x + y},"admissible":{"true" if admissible else "false"}}},"C":"'
     n0_at = f'","modulus":"{modulus}","n0":{{"residue":"'
     verdict = f'","precision":{precision}}},"verdict":'
-    tail = f',"q":{q},"d":{d}}}' if include_map else "}"
+    tail = f',"q":{q},"d":{d}}}' if map_ != COLLATZ else "}"
     ghost = f'{verdict}"ghost"{tail}'
     integer = f'{verdict}"integer-cycle","integer_value":"'
     # level k puts d * q^(y-1-k) << sigma_k into C: per shift, its text,
@@ -242,10 +241,9 @@ def _cell_worker(cell):
         levels.append([(f"{s}{sep}", scale << s, ((scale << s) * inv) & mask) for s in range(x)])
     # the table of tails: every strictly increasing run of the last `depth`
     # entries, lexicographic, as (text, C term, n0 term) rows; tails[r] is
-    # row r's entries and offset[v] the first row whose first entry is >= v.
-    # Built from the last level up, each row once from a row of the level
-    # below; a one-entry sigma is a one-row table.
-    depth = min(_TAIL_DEPTH, y - 1) or 1
+    # row r's entries and offset[v] the first row whose first entry is >= v,
+    # built from the last level up, each row once from a row of the level below
+    depth = min(_TAIL_DEPTH, y - 1)
     top = y - depth  # entries below `top` are the walked prefix
     rows, tails, offset = [("", 0, 0)], [()], [0] * (x + 1)
     for k in range(y - 1, top - 1, -1):
@@ -253,7 +251,7 @@ def _cell_worker(cell):
         rows, tails, offset = [], [], []
         for s in range(x + 1):
             offset.append(len(rows))
-            if k <= s < (x if k else 1):  # sigma_0 is always 0
+            if k <= s < x:
                 text, cs, ns = levels[k][s]
                 r = below_offset[s + 1]
                 rows += [(text + t, cs + c, ns + n) for t, c, n in below[r:]]
@@ -263,8 +261,7 @@ def _cell_worker(cell):
     size = comb(x - 1, y - 1)
     nxt = next(samples, size)  # the cell's size once every sample is replayed
     lines: list[str] = []
-    written = 0  # lines already moved into blocks
-    hits = []
+    done = 0  # records of the cell written before the current run of rows
 
     def record(pre, text, c, n0):
         """One record's line and its quotient (None for a ghost)."""
@@ -273,8 +270,14 @@ def _cell_worker(cell):
         quo = c // modulus
         return f"{pre}{text}{c}{n0_at}{n0}{integer}{quo}\"{tail}", quo
 
-    def leaf(lo, base, bn0, pre):
-        nonlocal nxt, written
+    def walk(k, lo, base, bn0, pre):
+        nonlocal nxt, done
+        if k < top:
+            for s in range(lo, x - (y - 1 - k)):
+                chosen[k] = s
+                text, cs, ns = levels[k][s]
+                yield from walk(k + 1, s + 1, base + cs, bn0 + ns, pre + text)
+            return
         start = offset[lo]
         chunk = [f"{pre}{text}{c}{n0_at}{(bn0 + ns) & mask}{ghost}" if (c := base + cs) % modulus
                  else None for text, cs, ns in rows[start:]]
@@ -284,12 +287,11 @@ def _cell_worker(cell):
                     text, cs, ns = rows[start + i]
                     chunk[i], quo = record(pre, text, base + cs, (bn0 + ns) & mask)
                     hits.append((x, y, (*chosen, *tails[start + i]), quo, admissible))
-        first = written + len(lines)  # the cell index of chunk[0]
-        end = first + len(chunk)
+        end = done + len(chunk)
         if nxt < end:
             prefix = tuple(chosen)
             while nxt < end:
-                r = start + nxt - first
+                r = start + nxt - done
                 text, cs, ns = rows[r]
                 c, n0 = base + cs, (bn0 + ns) & mask
                 # the line written is the one built from the replayed C, n0
@@ -297,33 +299,19 @@ def _cell_worker(cell):
                 chunk[r - start], quo = record(pre, text, c, n0)
                 replay_record(q, d, x, prefix + tails[r], c, n0, modulus, precision, quo)
                 nxt = next(samples, size)
+        done = end
         lines.extend(chunk)
         if len(lines) >= _BLOCK_LINES:
-            # bounded blocks: the writer encodes one block at a time, never
-            # a copy of a whole cell
+            # the writer encodes one bounded block at a time, never a whole cell
             block = "\n".join(lines)
-            written += len(lines)
             lines.clear()
             yield block
 
-    def walk(k, lo, base, bn0, pre):
-        if k == top:
-            yield from leaf(lo, base, bn0, pre)
-            return
-        for s in range(lo, x - (y - 1 - k)):
-            chosen[k] = s
-            text, cs, ns = levels[k][s]
-            yield from walk(k + 1, s + 1, base + cs, bn0 + ns, pre + text)
-
-    if y == 1:
-        yield from leaf(0, 0, 0, head)
-    else:
-        text, cs, ns = levels[0][0]
-        yield from walk(1, 1, cs, ns, head + text)
+    text, cs, ns = levels[0][0]  # sigma_0 is always 0
+    yield from walk(1, 1, cs, ns, head + text)
     if lines:
         yield "\n".join(lines)
     del walk  # it reaches itself through its closure: free the cell now, not at the next gc
-    return size if admissible else 0, hits
 
 
 def cmd_scan(args) -> int:
@@ -331,7 +319,6 @@ def cmd_scan(args) -> int:
 
     _check_format(args, ("json",), "scan")
     map_ = getattr(args, "map", None) or COLLATZ
-    include_map = map_ != COLLATZ
     q, d = map_.q, map_.d
     precision = args.precision
     started = time.perf_counter()
@@ -349,32 +336,24 @@ def cmd_scan(args) -> int:
     else:
         sampled = sorted(rng.sample(range(total), sample_size))
     # each cell replays the sampled scan indices that fall inside it
-    cells = []
+    verify = []
     offset = lo = 0
-    for (x, y), size in zip(shapes, sizes):
+    for size in sizes:
         hi = bisect_left(sampled, offset + size, lo)
-        local = tuple(i - offset for i in sampled[lo:hi])
-        cells.append((x, y, q, d, precision, include_map, local))
+        verify.append([i - offset for i in sampled[lo:hi]])
         offset, lo = offset + size, hi
 
     integral: list[tuple[int, int, tuple[int, ...], int, bool]] = []
-    admissible_count = 0
-
-    def blocks():
-        nonlocal admissible_count
-        for cell in cells:
-            admissible, hits = yield from _cell_worker(cell)
-            admissible_count += admissible
-            integral.extend(hits)
-
-    _emit(blocks(), args.out)
+    _emit(chain.from_iterable(_cell_worker(x, y, map_, precision, local, integral)
+                              for (x, y), local in zip(shapes, verify)), args.out)
     elapsed = time.perf_counter() - started
+    admissible = sum(size for (x, y), size in zip(shapes, sizes) if is_admissible(x, y, q, d))
 
     summary_to = sys.stdout if args.out else sys.stderr
     mapname = f"{q}n{d:+d}"
     print(
         f"scan ell_max={args.ell_max} map={mapname} precision={precision}:"
-        f" patterns={total} admissible={admissible_count}"
+        f" patterns={total} admissible={admissible}"
         f" integer_cycles={len(integral)} ghosts={total - len(integral)}"
         f" verified_sample={sample_size}",
         file=summary_to,

@@ -40,26 +40,14 @@ GHOST = Ghost()
 Verdict = IntegerCycle | Ghost
 
 
-class CertifiedInteger(Frozen):
-    __slots__ = ("value",)
-
-    def __init__(self, value: int) -> None:
-        _set(self, "value", value)
-
-
-class CertifiedGhost(Frozen):
-    __slots__ = ()
-
-
 class Inconclusive(Frozen):
+    """Too few low bits of n0 to tell an integer cycle from a ghost."""
+
     __slots__ = ()
-
-
-Certificate = CertifiedInteger | CertifiedGhost | Inconclusive
 
 
 class InadmissiblePattern(ValueError):
-    """Operation needs a positive modulus, i.e. an admissible pattern."""
+    """Operation needs C / modulus > 0, i.e. a pattern admissible for the map."""
 
 
 def cycle_constant(p: ParityPattern, map_: GeneralizedMap = COLLATZ) -> int:
@@ -113,10 +101,12 @@ def ghost_cycle(p: ParityPattern, precision: int, map_: GeneralizedMap = COLLATZ
     return GhostCycle(p, c, m, n0, integrality_test(p, map_))
 
 
-def prefix_certificate(p: ParityPattern, k: int) -> Certificate:
+def prefix_certificate(p: ParityPattern, k: int,
+                       map_: GeneralizedMap = COLLATZ) -> Verdict | Inconclusive:
     """Decide integrality from the low k bits of n0 when they suffice.
 
-    Any integer solution equals C / modulus exactly, so it is bounded by
+    For an admissible pattern C and the modulus have the same sign, so
+    any integer solution C / modulus is positive and bounded by
     B = ceil(C / modulus).  Once 2**k exceeds B, the low k bits pin the
     only candidate and the answer is conclusive; below that the bits
     carry no extra information (they satisfy the congruence by
@@ -124,16 +114,16 @@ def prefix_certificate(p: ParityPattern, k: int) -> Certificate:
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if not is_admissible(p.x, p.y):
+    if not is_admissible(p.x, p.y, map_.q, map_.d):
         raise InadmissiblePattern(
-            f"pattern (x={p.x}, y={p.y}) is inadmissible; the integer bound needs a positive modulus"
+            f"pattern (x={p.x}, y={p.y}) is inadmissible; the integer bound needs C / modulus > 0"
         )
-    c = cycle_constant(p)
-    m = modulus(p)
-    bound = -(-c // m)  # ceil(C / m), m > 0
+    c = cycle_constant(p, map_)
+    m = modulus(p, map_)
+    bound = -(-c // m)  # ceil(C / m) >= 1
     r = (invert_unit(PadicInt(m, k)) * PadicInt(c, k)).residue
     if (1 << k) > bound:
-        return CertifiedInteger(r) if r * m == c else CertifiedGhost()
+        return IntegerCycle(r) if r * m == c else GHOST
     if r > bound:  # no integer solution can reach past the bound
-        return CertifiedGhost()
+        return GHOST
     return Inconclusive()

@@ -11,26 +11,28 @@ from typing import Any
 from .cycle import GhostCycle, IntegerCycle
 from .dynamics import CycleTrace
 from .padic import PadicInt
-from .patterns import ParityPattern, is_admissible
+from .patterns import COLLATZ, GeneralizedMap, ParityPattern, is_admissible
 
 
 def padic_record(a: PadicInt) -> dict[str, Any]:
     return {"residue": str(a.residue), "precision": a.precision}
 
 
-def pattern_record(p: ParityPattern) -> dict[str, Any]:
+def pattern_record(p: ParityPattern, map_: GeneralizedMap = COLLATZ) -> dict[str, Any]:
     return {
         "x": p.x,
         "y": p.y,
         "sigma": list(p.sigma),
         "ell": p.ell,
-        "admissible": is_admissible(p.x, p.y),
+        "admissible": is_admissible(p.x, p.y, map_.q, map_.d),
     }
 
 
-def ghost_record(g: GhostCycle, q: int | None = None, d: int | None = None) -> dict[str, Any]:
+def ghost_record(g: GhostCycle, map_: GeneralizedMap = COLLATZ) -> dict[str, Any]:
+    """The scan's record of `g`, solved under `map_`; "q" and "d" are
+    written for any map but 3n+1."""
     rec: dict[str, Any] = {
-        "pattern": pattern_record(g.pattern),
+        "pattern": pattern_record(g.pattern, map_),
         "C": str(g.constant),
         "modulus": str(g.modulus),
         "n0": padic_record(g.n0),
@@ -40,18 +42,15 @@ def ghost_record(g: GhostCycle, q: int | None = None, d: int | None = None) -> d
         rec["integer_value"] = str(g.verdict.value)
     else:
         rec["verdict"] = "ghost"
-    if q is not None:
-        if d is None:
-            raise ValueError("q and d must be given together")
-        rec["pattern"]["admissible"] = is_admissible(g.pattern.x, g.pattern.y, q, d)
-        rec["q"] = q
-        rec["d"] = d
+    if map_ != COLLATZ:
+        rec["q"] = map_.q
+        rec["d"] = map_.d
     return rec
 
 
-def trace_record(t: CycleTrace) -> dict[str, Any]:
+def trace_record(t: CycleTrace, map_: GeneralizedMap = COLLATZ) -> dict[str, Any]:
     return {
-        "pattern": pattern_record(t.pattern),
+        "pattern": pattern_record(t.pattern, map_),
         "m": [padic_record(m) for m in t.m],
         "valuations": list(t.step_valuations),
         "closed": t.closed,

@@ -16,7 +16,14 @@ from ghostcycles import _kernel_py, cli
 from ghostcycles.cli import main
 from ghostcycles.cycle import ghost_cycle
 from ghostcycles.padic import _inverse_mod_pow2
-from ghostcycles.patterns import GeneralizedMap, ParityPattern, enumerate_by_length, length_cells
+from ghostcycles.patterns import (
+    COLLATZ,
+    GeneralizedMap,
+    ParityPattern,
+    enumerate_by_length,
+    is_admissible,
+    length_cells,
+)
 from ghostcycles.records import ghost_record
 
 
@@ -147,13 +154,10 @@ def test_scan_records_equal_library_records(capsys, tmp_path):
 )
 def test_scan_template_is_json_dumps_of_the_library_record(argv, precision, capsys, tmp_path):
     # the expected stream is built from the cycle modules, not the kernel
-    m = GeneralizedMap(*map(int, argv[1].split(","))) if argv else None
+    m = GeneralizedMap(*map(int, argv[1].split(","))) if argv else COLLATZ
     expected = []
     for p, _adm in enumerate_by_length(16):
-        if m is not None:
-            rec = ghost_record(ghost_cycle(p, precision, m), m.q, m.d)
-        else:
-            rec = ghost_record(ghost_cycle(p, precision))
+        rec = ghost_record(ghost_cycle(p, precision, m), m)
         expected.append(json.dumps(rec, separators=(",", ":")) + "\n")
     expected = "".join(expected).encode()
     base = ["scan", "--ell-max", "16", *argv]
@@ -292,21 +296,12 @@ def test_scan_with_an_integer_value_off_by_one_exits_two(jobs, capsys, monkeypat
     assert "dynamics violation: verdict violation at odd step " in err
 
 
-def _run_cell(cell):
-    """The blocks one scan cell yields, with the (admissible, hits) it returns."""
-    worker, blocks = cli._cell_worker(cell), []
-    try:
-        while True:
-            blocks.append(next(worker))
-    except StopIteration as done:
-        return blocks, *done.value
-
-
 @pytest.mark.parametrize("q,d", [(3, 1), (5, 1), (3, -1), (7, 3)])
 @pytest.mark.parametrize("precision", [5, 64, 96])
 def test_cell_writer_records_equal_the_kernel_oracle(q, d, precision):
     for _ell, y, x in length_cells(16):
-        blocks, admissible, hits = _run_cell((x, y, q, d, precision, True, ()))
+        hits = []
+        blocks = list(cli._cell_worker(x, y, GeneralizedMap(q, d), precision, (), hits))
         got = []
         for line in "\n".join(blocks).split("\n"):
             rec = json.loads(line)
@@ -316,10 +311,24 @@ def test_cell_writer_records_equal_the_kernel_oracle(q, d, precision):
         oracle = _kernel_py.cell_records(x, y, q, d, precision)
         assert got == oracle
         assert all(len(b.split("\n")) >= cli._BLOCK_LINES for b in blocks[:-1])
-        is_admissible = (1 << x) > q**y if d > 0 else (1 << x) < q**y
-        assert admissible == (len(oracle) if is_admissible else 0)
-        assert hits == [(x, y, sigma, quo, is_admissible)
+        admissible = (1 << x) > q**y if d > 0 else (1 << x) < q**y
+        assert hits == [(x, y, sigma, quo, admissible)
                         for sigma, _c, _n0, quo in oracle if quo is not None]
+
+
+@pytest.mark.parametrize("q,d", [(3, 1), (5, 1), (3, -1), (7, 3)])
+def test_scan_summary_counts_the_maps_admissible_patterns_and_lines_carry_the_map(
+        q, d, capsys, tmp_path):
+    out_path = tmp_path / "scan.jsonl"
+    code, out, _ = run(["scan", "--ell-max", "14", "--map", f"{q},{d}", "--out", str(out_path)],
+                       capsys)
+    assert code == 0
+    admissible = sum(is_admissible(p.x, p.y, q, d) for p, _adm in enumerate_by_length(14))
+    assert f" admissible={admissible} " in out
+    records = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert sum(rec["pattern"]["admissible"] for rec in records) == admissible
+    tail = {} if (q, d) == (3, 1) else {"q": q, "d": d}  # 3n+1 lines name no map
+    assert all({key: rec[key] for key in ("q", "d") if key in rec} == tail for rec in records)
 
 
 def _record_of(line):
@@ -343,10 +352,10 @@ def sampled_cells(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(sampled_cells(), st.booleans())
-def test_sampled_cell_writer_equals_the_kernel_oracle_and_replays_its_lines(cell, include_map):
+@given(sampled_cells())
+def test_sampled_cell_writer_equals_the_kernel_oracle_and_replays_its_lines(cell):
     x, y, q, d, precision, verify = cell
-    calls = []
+    calls, hits = [], []
     real = cli.replay_record
 
     def spy(*args):
@@ -355,13 +364,12 @@ def test_sampled_cell_writer_equals_the_kernel_oracle_and_replays_its_lines(cell
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "replay_record", spy)
-        blocks, admissible, hits = _run_cell((x, y, q, d, precision, include_map, verify))
+        blocks = list(cli._cell_worker(x, y, GeneralizedMap(q, d), precision, verify, hits))
     lines = "\n".join(blocks).split("\n")
     oracle = _kernel_py.cell_records(x, y, q, d, precision)
     assert [_record_of(line) for line in lines] == oracle
-    is_admissible = (1 << x) > q**y if d > 0 else (1 << x) < q**y
-    assert admissible == (len(oracle) if is_admissible else 0)
-    assert hits == [(x, y, sigma, quo, is_admissible)
+    admissible = (1 << x) > q**y if d > 0 else (1 << x) < q**y
+    assert hits == [(x, y, sigma, quo, admissible)
                     for sigma, _c, _n0, quo in oracle if quo is not None]
     modulus = (1 << x) - q**y
     written = [_record_of(lines[i]) for i in verify]
@@ -376,6 +384,23 @@ def test_general_single_pattern(capsys):
     assert code == 0
     assert "verdict: integer-cycle n = 13" in out
     assert "valuations=1,1,5" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_general_single_pattern_on_3n_plus_1_prints_what_ghost_prints(fmt, capsys):
+    flags = ["--x", "4", "--y", "2", "--sigma", "0,1", "--format", fmt]
+    general = run(["general", "--map", "3,1", *flags], capsys)
+    assert general[0] == 0
+    assert general == run(["ghost", *flags], capsys)
+
+
+def test_general_single_pattern_trace_uses_the_maps_admissibility(capsys):
+    code, out, _ = run(["general", "--map", "5,1", "--x", "4", "--y", "2", "--sigma", "0,1",
+                        "--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ghost"]["pattern"] == payload["trace"]["pattern"]
+    assert payload["trace"]["pattern"]["admissible"] is False  # 2^4 > 3^2 but 16 < 25
 
 
 def test_general_single_pattern_rejects_verify_sample(capsys, monkeypatch, tmp_path):

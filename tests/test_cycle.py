@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 
 from ghostcycles.cycle import (
     GHOST,
-    CertifiedGhost,
-    CertifiedInteger,
     InadmissiblePattern,
     Inconclusive,
     IntegerCycle,
@@ -17,7 +15,13 @@ from ghostcycles.cycle import (
     modulus,
     prefix_certificate,
 )
-from ghostcycles.patterns import ParityPattern, enumerate_by_length, is_admissible
+from ghostcycles.patterns import (
+    COLLATZ,
+    GeneralizedMap,
+    ParityPattern,
+    enumerate_by_length,
+    is_admissible,
+)
 
 
 def random_pattern(draw, max_x=24):
@@ -112,31 +116,39 @@ def test_verdict_matches_exact_division(p):
 
 
 def test_prefix_certificate_examples():
-    assert prefix_certificate(ParityPattern(4, 2, (0, 1)), 4) == CertifiedGhost()
-    assert prefix_certificate(ParityPattern(2, 1, (0,)), 2) == CertifiedInteger(1)
-    assert prefix_certificate(ParityPattern(4, 2, (0, 2)), 1) == CertifiedInteger(1)
+    assert prefix_certificate(ParityPattern(4, 2, (0, 1)), 4) == GHOST
+    assert prefix_certificate(ParityPattern(2, 1, (0,)), 2) == IntegerCycle(1)
+    assert prefix_certificate(ParityPattern(4, 2, (0, 2)), 1) == IntegerCycle(1)
+    # 5n+1: 13 -> 33 -> 83 -> 13, bound ceil(C / m) = 13 < 2^4
+    assert prefix_certificate(ParityPattern(7, 3, (0, 1, 2)), 4, GeneralizedMap(5, 1)) \
+        == IntegerCycle(13)
+    assert prefix_certificate(ParityPattern(7, 3, (0, 1, 2)), 3, GeneralizedMap(5, 1)) \
+        == Inconclusive()
+    # 3n-1: 1 -> 2 -> 1, where C = -1 and m = 2 - 3 are both negative
+    assert prefix_certificate(ParityPattern(1, 1, (0,)), 1, GeneralizedMap(3, -1)) \
+        == IntegerCycle(1)
 
 
 def test_prefix_certificate_rejects_inadmissible():
     with pytest.raises(InadmissiblePattern):
         prefix_certificate(ParityPattern(1, 1, (0,)), 4)
+    with pytest.raises(InadmissiblePattern):  # 2^2 > 3 is inadmissible when d < 0
+        prefix_certificate(ParityPattern(2, 1, (0,)), 4, GeneralizedMap(3, -1))
 
 
-@given(patterns, st.integers(1, 64))
-def test_certificate_is_sound_and_consistent(p, k):
-    if not is_admissible(p.x, p.y):
+_MAPS = [COLLATZ, GeneralizedMap(5, 1), GeneralizedMap(3, -1), GeneralizedMap(7, 3)]
+
+
+@given(patterns, st.integers(1, 64), st.sampled_from(_MAPS))
+def test_certificate_is_sound_and_consistent(p, k, map_):
+    if not is_admissible(p.x, p.y, map_.q, map_.d):
         return
-    cert = prefix_certificate(p, k)
-    truth = integrality_test(p)
-    if isinstance(cert, CertifiedInteger):
-        assert truth == IntegerCycle(cert.value)
-    elif isinstance(cert, CertifiedGhost):
-        assert truth == GHOST
-    else:
-        assert cert == Inconclusive()
-    c, m = cycle_constant(p), modulus(p)
+    cert = prefix_certificate(p, k, map_)
+    if cert != Inconclusive():
+        assert cert == integrality_test(p, map_)
+    c, m = cycle_constant(p, map_), modulus(p, map_)
     if (1 << k) > -(-c // m):  # above the bound the certificate must be conclusive
-        assert not isinstance(cert, Inconclusive)
+        assert cert != Inconclusive()
 
 
 def test_repetition_family_is_the_trivial_cycle():
