@@ -1,11 +1,15 @@
 """Command-line driver: scans, single-pattern verification, fiber tables
 and witnesses.
 
+Each subcommand parses only the flags it reads, and argparse enforces
+every choice, so any other flag or value exits 1 before work.  `general`
+is `scan` with `--map q,d` required.
+
 Exit codes: 0 success, 1 usage error, 2 dynamics violation (should never
 happen; a genuine bug if it does), 3 I/O failure.
 
-Every command runs in the calling process.  `--jobs` is accepted and
-validated (>= 1) for compatibility, and has no effect.
+Every command runs in the calling process.  A scan's `--jobs` (>= 1) and
+`fibers --seed` are accepted for compatibility and have no effect.
 
 Output discipline: machine-readable streams (JSONL for scans, CSV for
 fiber tables) are byte-identical for identical flags.  Anything
@@ -81,18 +85,6 @@ def _int_at_least(low: int):
     return parse
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=_int_at_least(1), default=64,
-                        help="working 2-adic precision in bits")
-    common.add_argument("--format", choices=("json", "csv", "text"), default=None)
-    common.add_argument("--out", default=None, help="write records here instead of stdout")
-    common.add_argument("--jobs", type=_int_at_least(1), default=1,
-                        help="accepted for compatibility; every command runs in one process")
-    common.add_argument("--seed", type=int, default=0, help="seed for verification sampling")
-    return common
-
-
 def _parse_sigma(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -109,13 +101,6 @@ def _parse_map(text: str) -> GeneralizedMap:
         return GeneralizedMap(q, d)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-
-
-def _check_format(args, written: tuple[str, ...], command: str) -> None:
-    """Reject, before any work, a --format that the command does not write."""
-    if args.format not in (None, *written):
-        raise ValueError(f"{command} writes {' or '.join(written)} only;"
-                         f" --format {args.format} is not supported")
 
 
 def _emit(lines, out_path: str | None) -> None:
@@ -163,14 +148,12 @@ def cmd_ghost(args) -> int:
 
     from .records import ghost_record, trace_record
 
-    _check_format(args, ("text", "json"), "ghost")
     p = ParityPattern(args.x, args.y, _parse_sigma(args.sigma))
-    map_ = getattr(args, "map", None) or COLLATZ
-    g = ghost_cycle(p, args.precision, map_)
-    t = iterate_cycle(p, args.precision, map_)
-    rec = ghost_record(g, map_)
+    g = ghost_cycle(p, args.precision, args.map)
+    t = iterate_cycle(p, args.precision, args.map)
+    rec = ghost_record(g, args.map)
     if args.format == "json":
-        payload = {"ghost": rec, "trace": trace_record(t, map_)}
+        payload = {"ghost": rec, "trace": trace_record(t, args.map)}
         _emit([json.dumps(payload, separators=(",", ":"))], args.out)
     else:
         _emit(_render_ghost_text(g, t, rec), args.out)
@@ -181,7 +164,6 @@ def cmd_ghost(args) -> int:
 
 
 _BLOCK_LINES = 4096
-_VERIFY_SAMPLE = 8  # --verify-sample when not given
 # The base case of a scan cell's walk writes the last _TAIL_DEPTH sigma
 # entries from a per-cell table.  Building every line of a 3n+1 scan to
 # ell 28 took 0.85 s of CPU at depth 1, 0.69 s at depth 2 and 0.59 s at
@@ -317,16 +299,14 @@ def _cell_worker(x, y, map_, precision, verify, hits):
 def cmd_scan(args) -> int:
     import random
 
-    _check_format(args, ("json",), "scan")
-    map_ = getattr(args, "map", None) or COLLATZ
+    map_, precision = args.map, args.precision
     q, d = map_.q, map_.d
-    precision = args.precision
     started = time.perf_counter()
 
     shapes = [(x, y) for _, y, x in length_cells(args.ell_max)]
     sizes = [comb(x - 1, y - 1) for x, y in shapes]
     total = sum(sizes)
-    sample_size = min(_VERIFY_SAMPLE if args.verify_sample is None else args.verify_sample, total)
+    sample_size = min(args.verify_sample, total)
     rng = random.Random(args.seed)
     if 2 * sample_size > total:
         # draw the smaller side: the complement of a uniform subset is a
@@ -374,7 +354,6 @@ def cmd_scan(args) -> int:
 def cmd_fibers(args) -> int:
     from .semilinear import InconclusivePeriod
 
-    _check_format(args, ("csv",), "fibers")
     if args.x_min > args.x_max:
         raise ValueError(f"--x-min {args.x_min} exceeds --x-max {args.x_max}")
     rows = ["y,x,period_exact,period_bruteforce,agree"]
@@ -401,7 +380,6 @@ def cmd_fibers(args) -> int:
 def cmd_witness(args) -> int:
     import json
 
-    _check_format(args, ("text", "json"), "witness")
     rec = _this.nonsemilinearity_witness(args.y, args.bound)
     if args.format == "json":
         payload = {"y": rec.y, "M": str(args.bound), "x": rec.x, "period": str(rec.period)}
@@ -411,65 +389,57 @@ def cmd_witness(args) -> int:
     return 0
 
 
-# -------------------------------------------------------------- general
-
-
-def cmd_general(args) -> int:
-    single = [f"--{name}" for name in ("x", "y", "sigma") if getattr(args, name) is not None]
-    for flag, value in (("--ell-max", args.ell_max), ("--verify-sample", args.verify_sample)):
-        if value is not None and single:
-            raise ValueError(f"{flag} (scan) cannot be combined with {', '.join(single)}"
-                             " (single pattern)")
-    if args.ell_max is not None:
-        return cmd_scan(args)
-    if len(single) == 3:
-        return cmd_ghost(args)
-    raise ValueError("general needs either --ell-max (scan) or --x/--y/--sigma (single pattern)")
-
-
 # ----------------------------------------------------------------- main
 
 
 def build_parser() -> _Parser:
-    common = _common_flags()
     parser = _Parser(prog="ghostcycles", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    precision = dict(type=_int_at_least(1), default=64, help="working 2-adic precision in bits")
+    out = dict(default=None, help="write the output here instead of stdout")
+    map_flag = dict(type=_parse_map, default=COLLATZ, help="q,d of the qn+d map; 3,1 if optional")
 
-    p_ghost = sub.add_parser("ghost", parents=[common], help="one pattern: cycle, verdict, trace")
+    p_ghost = sub.add_parser("ghost", help="one pattern: cycle, verdict, trace")
     p_ghost.add_argument("--x", type=int, required=True)
     p_ghost.add_argument("--y", type=int, required=True)
     p_ghost.add_argument("--sigma", required=True, help="comma-separated, starting at 0")
+    p_ghost.add_argument("--map", **map_flag)
+    p_ghost.add_argument("--precision", **precision)
+    p_ghost.add_argument("--format", choices=("text", "json"), default="text")
+    p_ghost.add_argument("--out", **out)
     p_ghost.set_defaults(func=cmd_ghost)
 
-    p_scan = sub.add_parser("scan", parents=[common], help="exhaustive scan up to a length bound")
-    p_scan.add_argument("--ell-max", type=int, required=True)
-    p_scan.add_argument("--map", type=_parse_map, default=None, help="q,d for a qn+d map")
-    p_scan.add_argument("--verify-sample", type=_int_at_least(0), default=None,
-                        help="dynamics-verify this many randomly chosen patterns (default 8)")
-    p_scan.set_defaults(func=cmd_scan)
+    # `general` is `scan` with --map required.  cmd_scan is read from the
+    # module when the parser is built, so a wrapper set on it is what runs.
+    for name, needs_map in (("scan", False), ("general", True)):
+        p_scan = sub.add_parser(name, help="exhaustive scan up to a length bound"
+                                + (", --map required" if needs_map else ""))
+        p_scan.add_argument("--ell-max", type=int, required=True)
+        p_scan.add_argument("--map", **map_flag, required=needs_map)
+        p_scan.add_argument("--precision", **precision)
+        p_scan.add_argument("--verify-sample", type=_int_at_least(0), default=8,
+                            help="dynamics-verify this many randomly drawn patterns")
+        p_scan.add_argument("--seed", type=int, default=0, help="seed of that draw")
+        p_scan.add_argument("--jobs", type=_int_at_least(1), default=1, help="no effect")
+        p_scan.add_argument("--out", **out)
+        p_scan.set_defaults(func=cmd_scan)
 
-    p_fib = sub.add_parser("fibers", parents=[common], help="fiber-period table (CSV)")
+    p_fib = sub.add_parser("fibers", help="fiber-period table (CSV)")
     p_fib.add_argument("--y", type=_int_at_least(1), required=True)
     p_fib.add_argument("--x-min", type=_int_at_least(0), required=True)
     p_fib.add_argument("--x-max", type=int, required=True)
     p_fib.add_argument("--scan-bound", type=_int_at_least(1), default=None,
                        help="also run the brute-force oracle up to this bound")
+    p_fib.add_argument("--seed", type=int, default=0, help="no effect")
+    p_fib.add_argument("--out", **out)
     p_fib.set_defaults(func=cmd_fibers)
 
-    p_wit = sub.add_parser("witness", parents=[common], help="refute a claimed fiber-period bound")
+    p_wit = sub.add_parser("witness", help="refute a claimed fiber-period bound")
     p_wit.add_argument("--y", type=_int_at_least(1), required=True)
     p_wit.add_argument("--bound", "-M", type=_int_at_least(1), required=True, dest="bound")
+    p_wit.add_argument("--format", choices=("text", "json"), default="text")
+    p_wit.add_argument("--out", **out)
     p_wit.set_defaults(func=cmd_witness)
-
-    p_gen = sub.add_parser("general", parents=[common], help="scan/ghost for a qn+d map")
-    p_gen.add_argument("--map", type=_parse_map, required=True)
-    p_gen.add_argument("--ell-max", type=int, default=None)
-    p_gen.add_argument("--x", type=int, default=None)
-    p_gen.add_argument("--y", type=int, default=None)
-    p_gen.add_argument("--sigma", default=None)
-    p_gen.add_argument("--verify-sample", type=_int_at_least(0), default=None,
-                       help="scan mode: dynamics-verify this many patterns (default 8)")
-    p_gen.set_defaults(func=cmd_general)
 
     return parser
 

@@ -23,7 +23,7 @@ arbitrary sets.  The detector skips the first third of the window as
 transient and requires the candidate period to repeat across at least
 half of the remaining tail, which makes a scan bound of 3x the true
 period sufficient for arithmetic-progression-like fibers.  When no
-candidate qualifies it raises Inconclusive rather than guessing.
+candidate qualifies it raises InconclusivePeriod rather than guessing.
 
 The detector returns the least p <= tlen // 2 for which bit i of the
 tail equals bit i + p at every i < tlen - p, where tlen is the tail's

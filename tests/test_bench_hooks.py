@@ -27,7 +27,7 @@ _spec.loader.exec_module(layers)
      ["general", "--map", "5,1", "--ell-max", "8", "--verify-sample", "20", "--jobs", "1",
       "--out", "{out}"],
      ["fibers", "--y", "2", "--x-min", "4", "--x-max", "6", "--scan-bound", "300"],
-     ["general", "--map", "5,1", "--x", "7", "--y", "3", "--sigma", "0,1,2"]],
+     ["ghost", "--map", "5,1", "--x", "7", "--y", "3", "--sigma", "0,1,2"]],
     ids=["scan", "general", "fibers", "general-single"],
 )
 def test_traced_run_resolves_every_hook(argv, tmp_path):

@@ -5,6 +5,7 @@ import inspect
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from math import comb
@@ -178,8 +179,8 @@ def test_scan_template_is_json_dumps_of_the_library_record(argv, precision, caps
         (["--precision", "0"], "argument --precision: must be >= 1, got 0"),
         (["--jobs", "0"], "argument --jobs: must be >= 1, got 0"),
         (["--verify-sample", "-1"], "argument --verify-sample: must be >= 0, got -1"),
-        (["--format", "csv"], "--format csv is not supported"),
-        (["--format", "text"], "--format text is not supported"),
+        (["--format", "csv"], "error: unrecognized arguments: --format csv"),
+        (["--format", "text"], "error: unrecognized arguments: --format text"),
     ],
     ids=["precision-0", "jobs-0", "verify-sample-negative", "format-csv", "format-text"],
 )
@@ -190,10 +191,10 @@ def test_scan_rejects_inputs_outside_its_contract_before_any_work(flags, message
 
     monkeypatch.setattr(cli, "_cell_worker", no_cell)
     out_path = tmp_path / "scan.jsonl"
-    code, _, err = run(["scan", "--ell-max", "6", *flags, "--out", str(out_path)], capsys)
+    code, out, err = run(["scan", "--ell-max", "6", *flags, "--out", str(out_path)], capsys)
     assert code == 1
     assert message in err
-    assert not out_path.exists()
+    assert out == "" and not out_path.exists()
 
 
 def test_unwritable_scan_out_fails_before_the_kernel_runs(capsys, monkeypatch):
@@ -206,17 +207,11 @@ def test_unwritable_scan_out_fails_before_the_kernel_runs(capsys, monkeypatch):
     assert "i/o error" in err
 
 
-# The scan runs in one process; this one-value parametrization only keeps
-# the "in-process" test ids of the tests below unchanged.
-IN_PROCESS = pytest.mark.parametrize("jobs", [pytest.param("1", id="in-process")])
-
-
-@IN_PROCESS
 @pytest.mark.parametrize("argv", [[], ["--map", "3,-1"], ["--precision", "5"],
                                   ["--verify-sample", "100", "--seed", "7"],
                                   ["--verify-sample", "200", "--seed", "7"]],
                          ids=["3n+1", "3n-1", "precision-5", "sample-100", "sample-200"])
-def test_scan_replays_exactly_the_records_it_writes(jobs, argv, capsys, tmp_path, monkeypatch):
+def test_scan_replays_exactly_the_records_it_writes(argv, capsys, tmp_path, monkeypatch):
     calls = []
     real = cli.replay_record
 
@@ -228,7 +223,7 @@ def test_scan_replays_exactly_the_records_it_writes(jobs, argv, capsys, tmp_path
     monkeypatch.setattr(cli, "replay_record", spy)
     out_path = tmp_path / "scan.jsonl"
     code, _, _ = run(["scan", "--ell-max", "12", "--verify-sample", "1000", *argv,
-                      "--jobs", jobs, "--out", str(out_path)], capsys)
+                      "--out", str(out_path)], capsys)
     assert code == 0
     written = []
     for line in out_path.read_text().splitlines():
@@ -262,10 +257,9 @@ def _wrong_inverse(a, bits):
     return _inverse_mod_pow2(a, bits) ^ 2  # still odd, so every written n0 is off
 
 
-@IN_PROCESS
-def test_scan_with_a_corrupted_n0_exits_two(jobs, capsys, monkeypatch, tmp_path):
+def test_scan_with_a_corrupted_n0_exits_two(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "_inverse_mod_pow2", _wrong_inverse)
-    code, _, err = run(["scan", "--ell-max", "12", "--verify-sample", "1000", "--jobs", jobs,
+    code, _, err = run(["scan", "--ell-max", "12", "--verify-sample", "1000",
                         "--out", str(tmp_path / "scan.jsonl")], capsys)
     assert code == 2
     assert "dynamics violation: closure violation" in err
@@ -280,12 +274,11 @@ def _cell_worker_with(old, new):
     return namespace["_cell_worker"]
 
 
-@IN_PROCESS
-def test_scan_with_an_integer_value_off_by_one_exits_two(jobs, capsys, monkeypatch, tmp_path):
+def test_scan_with_an_integer_value_off_by_one_exits_two(capsys, monkeypatch, tmp_path):
     mutant = _cell_worker_with("quo = c // modulus\n", "quo = c // modulus + 1\n")
     monkeypatch.setattr(cli, "_cell_worker", mutant)
     out_path = tmp_path / "scan.jsonl"
-    base = ["scan", "--ell-max", "12", "--jobs", jobs, "--out", str(out_path)]
+    base = ["scan", "--ell-max", "12", "--out", str(out_path)]
     # unverified, the mutant writes 2 for the trivial cycle through 1 and exits 0
     assert run([*base, "--verify-sample", "0"], capsys)[0] == 0
     line = next(line for line in out_path.read_text().splitlines()
@@ -377,9 +370,12 @@ def test_sampled_cell_writer_equals_the_kernel_oracle_and_replays_its_lines(cell
                      for sigma, c, n0, quo in written]
 
 
+# One pattern of a general qn+d map is `ghost --map`; `general` is a scan.
+
+
 def test_general_single_pattern(capsys):
     code, out, _ = run(
-        ["general", "--map", "5,1", "--x", "7", "--y", "3", "--sigma", "0,1,2"], capsys
+        ["ghost", "--map", "5,1", "--x", "7", "--y", "3", "--sigma", "0,1,2"], capsys
     )
     assert code == 0
     assert "verdict: integer-cycle n = 13" in out
@@ -389,13 +385,13 @@ def test_general_single_pattern(capsys):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_general_single_pattern_on_3n_plus_1_prints_what_ghost_prints(fmt, capsys):
     flags = ["--x", "4", "--y", "2", "--sigma", "0,1", "--format", fmt]
-    general = run(["general", "--map", "3,1", *flags], capsys)
-    assert general[0] == 0
-    assert general == run(["ghost", *flags], capsys)
+    mapped = run(["ghost", "--map", "3,1", *flags], capsys)
+    assert mapped[0] == 0
+    assert mapped == run(["ghost", *flags], capsys)
 
 
 def test_general_single_pattern_trace_uses_the_maps_admissibility(capsys):
-    code, out, _ = run(["general", "--map", "5,1", "--x", "4", "--y", "2", "--sigma", "0,1",
+    code, out, _ = run(["ghost", "--map", "5,1", "--x", "4", "--y", "2", "--sigma", "0,1",
                         "--format", "json"], capsys)
     assert code == 0
     payload = json.loads(out)
@@ -404,12 +400,12 @@ def test_general_single_pattern_trace_uses_the_maps_admissibility(capsys):
 
 
 def test_general_single_pattern_rejects_verify_sample(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(cli, "cmd_ghost", None)  # any work would fail on the missing name
+    monkeypatch.setattr(cli, "ghost_cycle", None)  # any work would fail on the missing name
     out_path = tmp_path / "out"
-    code, out, err = run(["general", "--map", "5,1", "--x", "7", "--y", "3", "--sigma", "0,1,2",
+    code, out, err = run(["ghost", "--map", "5,1", "--x", "7", "--y", "3", "--sigma", "0,1,2",
                           "--verify-sample", "5", "--out", str(out_path)], capsys)
     assert code == 1
-    assert "--verify-sample (scan) cannot be combined with --x, --y, --sigma (single pattern)" in err
+    assert "error: unrecognized arguments: --verify-sample 5\n" in err
     assert out == "" and not out_path.exists()
 
 
@@ -421,7 +417,7 @@ def test_general_needs_map(capsys):
 def test_general_needs_some_mode(capsys):
     code, _, err = run(["general", "--map", "5,1"], capsys)
     assert code == 1
-    assert "either" in err
+    assert "error: the following arguments are required: --ell-max\n" in err
 
 
 @pytest.mark.parametrize("flag,value", [("--x", "4"), ("--y", "2"), ("--sigma", "0,1")])
@@ -431,12 +427,13 @@ def test_general_scan_rejects_single_pattern_flags(flag, value, capsys, monkeypa
     code, out, err = run(["general", "--map", "5,1", "--ell-max", "3", flag, value,
                           "--out", str(out_path)], capsys)
     assert code == 1
-    assert f"--ell-max (scan) cannot be combined with {flag} (single pattern)" in err
+    assert f"error: unrecognized arguments: {flag} {value}\n" in err
     assert out == "" and not out_path.exists()
 
 
-@pytest.mark.parametrize("command", [["scan", "--ell-max", "4"], ["general", "--ell-max", "4"]],
-                         ids=["scan", "general"])
+@pytest.mark.parametrize("command", [["scan", "--ell-max", "4"], ["general", "--ell-max", "4"],
+                                     ["ghost", "--x", "4", "--y", "2", "--sigma", "0,1"]],
+                         ids=["scan", "general", "ghost"])
 @pytest.mark.parametrize(
     "text,message",
     [("4,1", "multiplier q must be an odd integer >= 3, got 4"),
@@ -499,8 +496,57 @@ def test_commands_reject_formats_they_do_not_write(argv, target, capsys, monkeyp
     out_path = tmp_path / "out"
     code, out, err = run([*argv, "--out", str(out_path)], capsys)
     assert code == 1
-    assert f"--format {argv[-1]} is not supported" in err
-    assert f"error: {argv[0]} writes " in err
+    if argv[0] == "fibers":  # fibers writes CSV only and takes no --format
+        assert f"error: unrecognized arguments: --format {argv[-1]}\n" in err
+    else:
+        assert f"error: argument --format: invalid choice: '{argv[-1]}'" in err
+    assert out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("ghost", "--x --y --sigma --map --precision --format --out"),
+    ("scan", "--ell-max --map --precision --verify-sample --seed --jobs --out"),
+    ("general", "--ell-max --map --precision --verify-sample --seed --jobs --out"),
+    ("fibers", "--y --x-min --x-max --scan-bound --seed --out"),
+    ("witness", "--y --bound -M --format --out"),
+])
+def test_help_lists_exactly_the_flags_the_command_reads(command, flags, capsys):
+    code, out, _ = run([command, "--help"], capsys)
+    assert code == 0
+    options = out.split("\n\n", 1)[1]  # the option list, after the usage lines
+    listed = dict.fromkeys(re.findall(r"(?<![\w-])--?[a-zA-Z][\w-]*", options))
+    assert list(listed) == ["-h", "--help", *flags.split()]
+
+
+_COMMANDS = {  # each command's argv and the worker that any of its work would call
+    "ghost": (["ghost", "--x", "4", "--y", "2", "--sigma", "0,1"], "ghost_cycle"),
+    "scan": (["scan", "--ell-max", "4"], "_cell_worker"),
+    "general": (["general", "--map", "5,1", "--ell-max", "4"], "_cell_worker"),
+    "fibers": (["fibers", "--y", "1", "--x-min", "2", "--x-max", "3"], "fiber_period_exact"),
+    "witness": (["witness", "--y", "1", "--bound", "10"], "nonsemilinearity_witness"),
+}
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("ghost", ["--jobs", "2"]), ("ghost", ["--seed", "7"]),
+    ("scan", ["--format", "json"]),
+    ("general", ["--format", "json"]), ("general", ["--x", "7"]), ("general", ["--y", "3"]),
+    ("general", ["--sigma", "0,1,2"]),
+    ("fibers", ["--precision", "64"]), ("fibers", ["--format", "csv"]), ("fibers", ["--jobs", "2"]),
+    ("witness", ["--precision", "64"]), ("witness", ["--seed", "7"]), ("witness", ["--jobs", "2"]),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_a_flag_the_command_does_not_read_is_rejected_before_work(command, flag, capsys,
+                                                                  monkeypatch, tmp_path):
+    argv, worker = _COMMANDS[command]
+
+    def no_work(*args):
+        raise AssertionError(f"{worker} ran on a rejected command")
+
+    monkeypatch.setattr(cli, worker, no_work)
+    out_path = tmp_path / "out"
+    code, out, err = run([*argv, *flag, "--out", str(out_path)], capsys)
+    assert code == 1
+    assert f"error: unrecognized arguments: {' '.join(flag)}\n" in err
     assert out == "" and not out_path.exists()
 
 

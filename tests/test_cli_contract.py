@@ -67,18 +67,18 @@ def _run(argv, to_file):
 @st.composite
 def scan_vectors(draw):
     """(argv without --out, whether it is valid, ell_max) for `scan` or
-    for `general` in scan mode."""
+    for `general`, which is `scan` with --map required.  Neither takes
+    --format or a single-pattern flag."""
     f = _Flags(draw, draw(st.sampled_from(["scan", "general"])))
     ell = f.option("--ell-max", range(2, 11), [1])
     if f.command == "scan":
         f.option("--map", [None, *MAPS], BAD_MAPS)
     else:
         f.option("--map", MAPS, [*BAD_MAPS, None])  # general needs --map
-        # a single-pattern flag does not mix with --ell-max
         flag, value = draw(st.sampled_from([("--x", 4), ("--y", 2), ("--sigma", "0,1")]))
         f.option(flag, [None], [value])
     f.option("--precision", [None, 1, 2, 5, 17, 64, 96], [0])
-    f.option("--format", [None, "json"], ["csv", "text"])
+    f.option("--format", [None], ["json", "csv", "text"])
     f.option("--verify-sample", [None, 0, 3, 1000], [-1])
     f.option("--jobs", [None, 1, 2, 7], [0, -1])
     f.option("--seed", [None, 0, 7])
@@ -107,16 +107,16 @@ def test_scan_contract(vector, to_file):
 
 @st.composite
 def ghost_vectors(draw):
-    """(argv without --out, whether it is valid, x, sigma) for `ghost`, or
-    for `general --map` on one pattern.  An out-of-contract sigma does not
-    start at 0, does not increase strictly, has an entry >= x, or has the
-    wrong length; an out-of-contract precision is at most x + 1.  For
-    `general`, any --verify-sample is out of contract: it is a scan flag."""
-    f = _Flags(draw, draw(st.sampled_from(["ghost", "general"])))
-    if f.command == "general":
-        f.option("--map", MAPS)
-        f.option("--verify-sample", [None], [0, 5])
-        f.option("--seed", [None, 0, 7])
+    """(argv without --out, whether it is valid, x, sigma) for `ghost` on
+    any map.  An out-of-contract sigma does not start at 0, does not
+    increase strictly, has an entry >= x, or has the wrong length; an
+    out-of-contract precision is at most x + 1.  The scan flags
+    --verify-sample, --seed and --jobs are out of its contract."""
+    f = _Flags(draw, "ghost")
+    f.option("--map", [None, *MAPS], BAD_MAPS)
+    f.option("--verify-sample", [None], [0, 5])
+    f.option("--seed", [None], [0, 7])
+    f.option("--jobs", [None], [1, 2])
     x = f.option("--x", range(1, 11))
     y = f.option("--y", range(1, x + 1))
     sigma = [0, *sorted(draw(st.permutations(range(1, x)))[:y - 1])]
@@ -156,17 +156,23 @@ def test_ghost_contract(vector, to_file):
 def fiber_vectors(draw):
     """(argv without --out, the flags drawn out of contract) for `fibers`
     or `witness`.  For `fibers` an out-of-contract --x-max is one below
-    --x-min."""
+    --x-min.  Neither takes --precision or --jobs; `fibers` takes no
+    --format, and accepts --seed with no effect, and `witness` takes no
+    --seed."""
     f = _Flags(draw, draw(st.sampled_from(["fibers", "witness"])))
     f.option("--y", range(1, 4), [0, -1])
     if f.command == "fibers":
         low = f.option("--x-min", range(0, 9), [-3])
         f.option("--x-max", [low + span for span in range(0, 5)], [low - 1, low - 4])
         f.option("--scan-bound", [None, 1, 5, 60, 400, 3000], [0, -5])
-        f.option("--format", [None, "csv"], ["json", "text"])
+        f.option("--format", [None], ["csv", "json", "text"])
+        f.option("--seed", [None, 0, 7])
     else:
         f.option("--bound" if draw(st.booleans()) else "-M", [1, 10, 1000, 10**12], [0, -7])
         f.option("--format", [None, "text", "json"], ["csv"])
+        f.option("--seed", [None], [0, 7])
+    f.option("--precision", [None], [1, 64])
+    f.option("--jobs", [None], [1, 2])
     return f.argv(), f.bad
 
 
