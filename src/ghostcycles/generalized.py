@@ -3,7 +3,7 @@
 Every cycle function takes its map qn + d as a trailing `map_`
 argument (`GeneralizedMap`, 3n + 1 by default).  This alias stays only
 because `perfbench/layers.py` wraps it by name; it goes once the
-benchmark's hook list is rewritten (ROADMAP item 2).
+benchmark's hook list is rewritten (ROADMAP item 4).
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from .patterns import Frozen, _set, is_admissible
+from .patterns import Frozen, _set
 
 
 class DimensionMismatch(ValueError):
@@ -160,13 +160,19 @@ def dy_membership(y: int, x: int, c: int) -> bool:
     return gap > 0 and c % gap == 0
 
 
+def _gap(y: int, x: int) -> int:
+    """2**x - 3**y, the gap of the fiber at x; FiberUndefined unless positive."""
+    gap = (1 << x) - 3 ** y
+    if gap <= 0:
+        raise FiberUndefined(f"(x={x}, y={y}) is inadmissible: 2^x <= 3^y")
+    return gap
+
+
 def fiber_period_exact(y: int, x: int) -> FiberPeriodRecord:
     """Closed-form minimal period of the divisibility fiber at x."""
     if y < 1:
         raise ValueError(f"need y >= 1, got {y}")
-    if not is_admissible(x, y):
-        raise FiberUndefined(f"(x={x}, y={y}) is inadmissible: 2^x <= 3^y")
-    return FiberPeriodRecord(y, x, (1 << x) - 3 ** y)
+    return FiberPeriodRecord(y, x, _gap(y, x))
 
 
 def _minimal_eventual_period(bits: int, length: int) -> int:
@@ -208,8 +214,7 @@ def fiber_period_bruteforce(y: int, x: int, scan_bound: int) -> int:
     A scan bound of at least 3x the true period guarantees a conclusive
     and correct answer.
     """
-    if not is_admissible(x, y):
-        raise FiberUndefined(f"(x={x}, y={y}) is inadmissible: 2^x <= 3^y")
+    _gap(y, x)  # the gap's sign only: the period is left to the detector
     # the indicator's binary digits, most significant (C = scan_bound)
     # first, turned into an int once: or-ing in one bit per member would
     # copy the growing int once per member
@@ -223,51 +228,33 @@ def fiber_period_bruteforce(y: int, x: int, scan_bound: int) -> int:
 def fiber_indicator(s: SemilinearSet, x: int, bound: int) -> int:
     """Bitmask of the fiber {y <= bound : (x, y) in S}, bit i = indicator at
     y = i.  Equivalent to pointwise membership (tests cross-check this) but
-    built per component: solve the first-coordinate equation over vectors
-    that grow x, then close each resulting offset under the second
-    coordinates of the vectors that leave x fixed."""
+    built in one bitset pass per component.  An unbounded knapsack runs
+    over the first coordinate: bit y of reach[t] is set when base plus an
+    N-combination of the vectors with v0 > 0 is (b0 + t, y).  reach[x - b0]
+    is then closed under each vector with v0 == 0 by doubling shifts.  No
+    coordinate is negative, so a bit shifted out of the window never comes
+    back into it."""
     if s.dimension != 2:
         raise DimensionMismatch(f"fiber analysis needs dimension 2, got {s.dimension}")
     window = (1 << (bound + 1)) - 1
     bits = 0
     for comp in s.components:
-        steps = sorted({v[1] for v in comp.periods if v[0] == 0 and v[1] > 0})
-        growers = [v for v in comp.periods if v[0] > 0]
-        offsets: set[int] = set()
-
-        def collect(idx: int, remaining: int, second: int) -> None:
-            if remaining == 0:
-                if second <= bound:
-                    offsets.add(second)
-                return
-            if idx == len(growers):
-                return
-            v = growers[idx]
-            lam = 0
-            while lam * v[0] <= remaining:
-                collect(idx + 1, remaining - lam * v[0], second + lam * v[1])
-                lam += 1
-
-        delta = x - comp.base[0]
-        if delta >= 0:
-            collect(0, delta, comp.base[1])
-        reach = 0
-        for c in offsets:
-            reach |= 1 << c
-        # saturate under the steps; doubling shifts reach a fixpoint quickly
-        changed = True
-        while changed and reach:
-            changed = False
-            for p in steps:
-                grown = reach
-                shift = p
+        b0, b1 = comp.base
+        if x < b0:
+            continue
+        reach = [(1 << b1) & window] + [0] * (x - b0)
+        for v0, v1 in comp.periods:
+            if v0 > 0:  # ascending t: each vector may be used any number of times
+                for t in range(v0, x - b0 + 1):
+                    reach[t] |= (reach[t - v0] << v1) & window
+        fiber = reach[x - b0]
+        for v0, v1 in comp.periods:
+            if v0 == 0 and v1 > 0:  # k doubling shifts add each j * v1 with j < 2^k
+                shift = v1
                 while shift <= bound:
-                    grown |= (grown << shift) & window
+                    fiber |= (fiber << shift) & window
                     shift <<= 1
-                if grown != reach:
-                    reach = grown
-                    changed = True
-        bits |= reach
+        bits |= fiber
     return bits
 
 
@@ -284,11 +271,8 @@ def nonsemilinearity_witness(y: int, m: int) -> FiberPeriodRecord:
     constructive refutation of any uniform fiber-period bound."""
     if y < 1 or m < 1:
         raise ValueError(f"need y >= 1 and M >= 1, got y={y}, M={m}")
-    three_y = 3 ** y
-    x = three_y.bit_length()  # smallest x with 2^x > 3^y
-    while (1 << x) - three_y <= m:
-        x += 1
-    return FiberPeriodRecord(y, x, (1 << x) - three_y)
+    x = (m + 3 ** y).bit_length()  # the least x with 2^x > m + 3^y
+    return FiberPeriodRecord(y, x, (1 << x) - 3 ** y)
 
 
 def lcm_period_bound(s: SemilinearSet) -> int:

@@ -1,4 +1,5 @@
-"""The benchmark's traced run resolves every hook it installs.
+"""The benchmark's traced run resolves every hook it installs, and the
+CLI still accepts the argument vectors the benchmark passes.
 
 `perfbench/layers.py` wraps module-level names of the package by name.
 When one of them is renamed or removed, the traced run still exits 0
@@ -50,6 +51,22 @@ def test_traced_run_resolves_every_hook(argv, tmp_path):
         # the one command whose orbit is traced through the hooked names
         assert values["dynamics.orbits_verified"] == 1
         assert values["cycle.resolve_s"] > 0
+
+
+def test_the_benchmarks_argv_still_parses(capsys, monkeypatch, tmp_path):
+    # each workload's own argv, at its set-up size, and its own output check
+    from ghostcycles.cli import main
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports its sibling `layers`
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # @dataclass looks the module up there
+    spec.loader.exec_module(bench)
+    for name, workload in bench.WORKLOADS.items():
+        out_path = tmp_path / f"{name}.out"
+        argv = workload.argv(True) + ["--seed", "1"] + ["--out", str(out_path)] * workload.writes_out
+        assert main(argv) == 0, name
+        assert workload.check(capsys.readouterr().out, out_path, True) > 0
 
 
 def test_benchmark_reads_the_backend_name():

@@ -550,6 +550,68 @@ def test_a_flag_the_command_does_not_read_is_rejected_before_work(command, flag,
     assert out == "" and not out_path.exists()
 
 
+_FULL = {  # each command with every flag it reads but --out, spelled in full
+    "ghost": ["ghost", "--x", "4", "--y", "2", "--sigma", "0,1", "--map", "3,1",
+              "--precision", "64", "--format", "json"],
+    "scan": ["scan", "--ell-max", "5", "--map", "3,1", "--precision", "64",
+             "--verify-sample", "3", "--seed", "1", "--jobs", "1"],
+    "general": ["general", "--ell-max", "5", "--map", "5,1", "--precision", "64",
+                "--verify-sample", "3", "--seed", "1", "--jobs", "1"],
+    "fibers": ["fibers", "--y", "1", "--x-min", "2", "--x-max", "4", "--scan-bound", "60",
+               "--seed", "1"],
+    "witness": ["witness", "--y", "1", "--bound", "10", "--format", "json"],
+}
+
+
+def _abbreviations():
+    """(command, flag, its shortest unique prefix) for every long flag of a
+    command that has a prefix shorter than itself."""
+    cases = []
+    for command, argv in _FULL.items():
+        flags = [a for a in argv if a.startswith("--")] + ["--out", "--help"]
+        for flag in flags:
+            for n in range(3, len(flag)):
+                if not any(f.startswith(flag[:n]) for f in flags if f != flag):
+                    cases.append((command, flag, flag[:n]))
+                    break
+    return cases
+
+
+_ABBREVIATIONS = _abbreviations()
+
+
+@pytest.mark.parametrize("command,flag,prefix", _ABBREVIATIONS,
+                         ids=[f"{c}-{p}" for c, _, p in _ABBREVIATIONS])
+def test_a_flag_abbreviation_is_rejected_before_work(command, flag, prefix, capsys,
+                                                     monkeypatch, tmp_path):
+    worker = _COMMANDS[command][1]
+
+    def no_work(*args):
+        raise AssertionError(f"{worker} ran on a rejected command")
+
+    monkeypatch.setattr(cli, worker, no_work)
+    out_path = tmp_path / "out"
+    argv = [prefix if a == flag else a for a in [*_FULL[command], "--out", str(out_path)]]
+    if flag == "--help":
+        argv.append(prefix)
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    # a required flag is then missing, which argparse reports first
+    assert (f"error: unrecognized arguments: {prefix}" in err
+            or re.search(rf"error: the following arguments are required: .*{flag}\b", err))
+    assert out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize("command", sorted(_FULL))
+def test_full_flag_names_and_flag_equals_value_still_parse(command, capsys, tmp_path):
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    argv = _FULL[command]
+    assert run([*argv, "--out", str(spaced)], capsys)[0] == 0
+    pairs = [f"{argv[i]}={argv[i + 1]}" for i in range(1, len(argv), 2)]
+    assert run([command, *pairs, f"--out={joined}"], capsys)[0] == 0
+    assert joined.read_bytes() == spaced.read_bytes() != b""
+
+
 def test_unwritable_out_is_io_error(capsys):
     code, _, err = run(
         ["witness", "--y", "1", "--bound", "10", "--out", "/nonexistent-dir/w.txt"], capsys

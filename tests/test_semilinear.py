@@ -132,15 +132,32 @@ def test_fiber_eventual_period_examples():
     assert fiber_eventual_period(union, 0, 60) == 6
 
 
-def test_fiber_indicator_matches_pointwise_membership():
-    rng = random.Random(7)
-    for _ in range(25):
-        s = random_semilinear_set(rng)
-        x = rng.randint(0, 10)
-        bound = 40
-        bits = fiber_indicator(s, x, bound)
-        for yv in range(bound + 1):
-            assert bool((bits >> yv) & 1) == membership(s, (x, yv))
+@st.composite
+def fiber_cases(draw):
+    """(set, x, window) draws for the bitset pass: zero vectors, components
+    whose vectors all leave x fixed or all grow it, and bases past the window."""
+    bound = draw(st.integers(0, 150))
+    comps = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["mixed", "steps", "growers"]))
+        low = 1 if kind == "growers" else 0
+        high = 0 if kind == "steps" else 6
+        # two nonzero vectors at most keep `membership`'s search fast
+        periods = draw(st.lists(st.tuples(st.integers(low, high), st.integers(0, 9)), max_size=2))
+        periods = draw(st.permutations(periods + draw(st.sampled_from([[], [(0, 0)]]))))
+        b1 = draw(st.one_of(st.integers(0, 12), st.integers(bound + 1, bound + 9)))
+        comps.append(LinearSet((draw(st.integers(0, 12)), b1), tuple(periods)))
+    return SemilinearSet(tuple(comps)), draw(st.integers(0, 20)), bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(fiber_cases())
+def test_fiber_indicator_matches_pointwise_membership(case):
+    s, x, bound = case
+    bits = fiber_indicator(s, x, bound)
+    assert bits >> (bound + 1) == 0
+    assert [(bits >> yv) & 1 == 1 for yv in range(bound + 1)] == \
+        [membership(s, (x, yv)) for yv in range(bound + 1)]
 
 
 def test_eventual_period_divides_lcm_bound():
@@ -164,9 +181,9 @@ def test_witness_examples():
 
 def test_witness_always_beats_the_bound():
     rng = random.Random(99)
-    for _ in range(50):
-        y = rng.randint(1, 6)
-        m = rng.randint(1, 10**9)
+    for _ in range(200):
+        y = rng.randint(1, 40)
+        m = rng.randint(1, 10 ** rng.randint(1, 40))
         rec = nonsemilinearity_witness(y, m)
         assert rec.period > m
         assert rec.period == (1 << rec.x) - 3**y
