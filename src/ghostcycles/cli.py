@@ -67,7 +67,11 @@ def __getattr__(name: str):
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage errors exit 1, not argparse's default 2
+    # usage errors exit 1, not argparse's default 2; add_subparsers builds
+    # every subcommand's parser from this class, so none takes abbreviations
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         _report(f"{self.prog}: error: {message}")
@@ -393,13 +397,13 @@ def cmd_witness(args) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="ghostcycles", description=__doc__.splitlines()[0], allow_abbrev=False)
+    parser = _Parser(prog="ghostcycles", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     precision = dict(type=_int_at_least(1), default=64, help="working 2-adic precision in bits")
     out = dict(default=None, help="write the output here instead of stdout")
     map_flag = dict(type=_parse_map, default=COLLATZ, help="q,d of the qn+d map; 3,1 if optional")
 
-    p_ghost = sub.add_parser("ghost", help="one pattern: cycle, verdict, trace", allow_abbrev=False)
+    p_ghost = sub.add_parser("ghost", help="one pattern: cycle, verdict, trace")
     p_ghost.add_argument("--x", type=int, required=True)
     p_ghost.add_argument("--y", type=int, required=True)
     p_ghost.add_argument("--sigma", required=True, help="comma-separated, starting at 0")
@@ -413,7 +417,7 @@ def build_parser() -> _Parser:
     # module when the parser is built, so a wrapper set on it is what runs.
     for name, needs_map in (("scan", False), ("general", True)):
         p_scan = sub.add_parser(name, help="exhaustive scan up to a length bound"
-                                + (", --map required" if needs_map else ""), allow_abbrev=False)
+                                + (", --map required" if needs_map else ""))
         p_scan.add_argument("--ell-max", type=int, required=True)
         p_scan.add_argument("--map", **map_flag, required=needs_map)
         p_scan.add_argument("--precision", **precision)
@@ -424,7 +428,7 @@ def build_parser() -> _Parser:
         p_scan.add_argument("--out", **out)
         p_scan.set_defaults(func=cmd_scan)
 
-    p_fib = sub.add_parser("fibers", help="fiber-period table (CSV)", allow_abbrev=False)
+    p_fib = sub.add_parser("fibers", help="fiber-period table (CSV)")
     p_fib.add_argument("--y", type=_int_at_least(1), required=True)
     p_fib.add_argument("--x-min", type=_int_at_least(0), required=True)
     p_fib.add_argument("--x-max", type=int, required=True)
@@ -434,8 +438,7 @@ def build_parser() -> _Parser:
     p_fib.add_argument("--out", **out)
     p_fib.set_defaults(func=cmd_fibers)
 
-    p_wit = sub.add_parser("witness", help="refute a claimed fiber-period bound",
-                           allow_abbrev=False)
+    p_wit = sub.add_parser("witness", help="refute a claimed fiber-period bound")
     p_wit.add_argument("--y", type=_int_at_least(1), required=True)
     p_wit.add_argument("--bound", "-M", type=_int_at_least(1), required=True, dest="bound")
     p_wit.add_argument("--format", choices=("text", "json"), default="text")

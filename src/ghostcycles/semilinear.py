@@ -272,7 +272,7 @@ def nonsemilinearity_witness(y: int, m: int) -> FiberPeriodRecord:
     if y < 1 or m < 1:
         raise ValueError(f"need y >= 1 and M >= 1, got y={y}, M={m}")
     x = (m + 3 ** y).bit_length()  # the least x with 2^x > m + 3^y
-    return FiberPeriodRecord(y, x, (1 << x) - 3 ** y)
+    return FiberPeriodRecord(y, x, _gap(y, x))
 
 
 def lcm_period_bound(s: SemilinearSet) -> int:

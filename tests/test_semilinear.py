@@ -140,10 +140,14 @@ def fiber_cases(draw):
     comps = []
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["mixed", "steps", "growers"]))
+        # `membership`'s search grows with the window to the power of the
+        # vector count, so three nonzero vectors and first coordinates up to
+        # 8 (the seeded test's ranges) are drawn only for windows up to 40
+        small = bound <= 40
         low = 1 if kind == "growers" else 0
-        high = 0 if kind == "steps" else 6
-        # two nonzero vectors at most keep `membership`'s search fast
-        periods = draw(st.lists(st.tuples(st.integers(low, high), st.integers(0, 9)), max_size=2))
+        high = 0 if kind == "steps" else (8 if small else 6)
+        periods = draw(st.lists(st.tuples(st.integers(low, high), st.integers(0, 9)),
+                                max_size=3 if small else 2))
         periods = draw(st.permutations(periods + draw(st.sampled_from([[], [(0, 0)]]))))
         b1 = draw(st.one_of(st.integers(0, 12), st.integers(bound + 1, bound + 9)))
         comps.append(LinearSet((draw(st.integers(0, 12)), b1), tuple(periods)))
@@ -158,6 +162,17 @@ def test_fiber_indicator_matches_pointwise_membership(case):
     assert bits >> (bound + 1) == 0
     assert [(bits >> yv) & 1 == 1 for yv in range(bound + 1)] == \
         [membership(s, (x, yv)) for yv in range(bound + 1)]
+
+
+def test_fiber_indicator_matches_membership_on_seeded_sets():
+    rng = random.Random(7)
+    for _ in range(25):
+        s = random_semilinear_set(rng)
+        x = rng.randint(0, 10)
+        bound = 40
+        bits = fiber_indicator(s, x, bound)
+        for yv in range(bound + 1):
+            assert bool((bits >> yv) & 1) == membership(s, (x, yv))
 
 
 def test_eventual_period_divides_lcm_bound():
