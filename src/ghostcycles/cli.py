@@ -365,15 +365,14 @@ def cmd_fibers(args) -> int:
         if not is_admissible(x, args.y):
             continue
         exact = _this.fiber_period_exact(args.y, x).period
+        brute = agree = ""  # left empty unless the oracle answers
         if args.scan_bound is not None:
             try:
                 brute = _this.fiber_period_bruteforce(args.y, x, args.scan_bound)
                 agree = "true" if brute == exact else "false"
-                rows.append(f"{args.y},{x},{exact},{brute},{agree}")
             except InconclusivePeriod:
-                rows.append(f"{args.y},{x},{exact},,")
-        else:
-            rows.append(f"{args.y},{x},{exact},,")
+                pass
+        rows.append(f"{args.y},{x},{exact},{brute},{agree}")
     _emit(rows, args.out)
     return 0
 

@@ -109,8 +109,8 @@ def prefix_certificate(p: ParityPattern, k: int,
     any integer solution C / modulus is positive and bounded by
     B = ceil(C / modulus).  Once 2**k exceeds B, the low k bits pin the
     only candidate and the answer is conclusive; below that the bits
-    carry no extra information (they satisfy the congruence by
-    construction) unless they already exceed the bound.
+    carry no extra information: they satisfy the congruence by
+    construction, and they cannot exceed the bound, since r < 2**k <= B.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -124,6 +124,4 @@ def prefix_certificate(p: ParityPattern, k: int,
     r = (invert_unit(PadicInt(m, k)) * PadicInt(c, k)).residue
     if (1 << k) > bound:
         return IntegerCycle(r) if r * m == c else GHOST
-    if r > bound:  # no integer solution can reach past the bound
-        return GHOST
     return Inconclusive()

@@ -146,9 +146,8 @@ def replay_record(
     modulus equals the pattern's own cycle constant mod 2**precision, so
     the two checks together also pin the record's C to sigma modulo
     2**precision.  A record with precision <= x + 1 has too few bits to
-    close; its n0 is then solved at x + 2 bits from C, checked against the
-    record's low bits, and that value is replayed.  Any mismatch raises
-    DynamicsViolation.
+    close; its n0 is then solved at x + 2 bits from C, and that value is
+    replayed.  Any mismatch raises DynamicsViolation.
     """
     y = len(sigma)
     exact, rem = divmod(c, modulus)
@@ -163,10 +162,10 @@ def replay_record(
     if precision <= x + 1:
         width = x + 2
         wide = (1 << width) - 1
-        lifted = (c * _inverse_mod_pow2(modulus & wide, width)) & wide
-        if lifted & mask != n0:
-            raise DynamicsViolation(y, lifted & mask, n0, kind="closure")
-        n0 = lifted
+        # the lift's low bits are the record's n0: modulus = 2**x - q**y is
+        # odd, so the check above leaves n0 the only residue below
+        # 2**precision with n0 * modulus = C, and the lift satisfies it too
+        n0 = (c * _inverse_mod_pow2(modulus & wide, width)) & wide
     # The orbit is replayed scaled: a = A_k = 2**sigma_k * m_k, so that
     # A_0 = n0 << sigma_0 and A_{k+1} = q * A_k + (d << sigma_k), and step
     # k sheds s_{k+1} bits iff v2(A_{k+1}) = sigma_{k+1} (sigma_y = x).

@@ -113,30 +113,29 @@ class FiberPeriodRecord(Frozen):
 
 
 def _linear_contains(component: LinearSet, point: Sequence[int]) -> bool:
-    target = [p - b for p, b in zip(point, component.base)]
-    if any(t < 0 for t in target):
+    start = tuple(p - b for p, b in zip(point, component.base))
+    if min(start) < 0:
         return False
     vecs = [v for v in component.periods if any(v)]  # zero vectors contribute nothing
-
-    def search(target: list[int], idx: int) -> bool:
-        if all(t == 0 for t in target):
+    seen, stack = {start}, [start]
+    while stack:
+        residual = stack.pop()
+        if not any(residual):
             return True
-        if idx == len(vecs):
-            return False
-        v = vecs[idx]
-        # each coefficient is bounded coordinatewise, hence by max(point)
-        lim = min(t // c for t, c in zip(target, v) if c > 0)
-        for lam in range(lim + 1):
-            if search([t - lam * c for t, c in zip(target, v)], idx + 1):
-                return True
-        return False
-
-    return search(target, 0)
+        for v in vecs:
+            nxt = tuple(r - c for r, c in zip(residual, v))
+            if min(nxt) >= 0 and nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return False
 
 
 def membership(s: SemilinearSet, point: Sequence[int]) -> bool:
-    """Bounded coefficient search over each component.  Exact, and cheap at
-    the scales used here; a general ILP-style decision is out of scope."""
+    """Exact search over residuals, per component: with vectors over N,
+    point - base is in their N-span iff subtracting one vector at a time,
+    never going negative, reaches zero.  Each residual in the box below
+    point - base is seen once, so time and memory grow with the box,
+    prod(p_i - b_i + 1)."""
     if len(point) != s.dimension:
         raise DimensionMismatch(
             f"point has dimension {len(point)}, set has dimension {s.dimension}"

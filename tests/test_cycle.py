@@ -147,8 +147,9 @@ def test_certificate_is_sound_and_consistent(p, k, map_):
     if cert != Inconclusive():
         assert cert == integrality_test(p, map_)
     c, m = cycle_constant(p, map_), modulus(p, map_)
-    if (1 << k) > -(-c // m):  # above the bound the certificate must be conclusive
-        assert cert != Inconclusive()
+    # conclusive exactly above the bound: below it r < 2^k <= ceil(C / m)
+    # cannot rule the pattern out
+    assert (cert != Inconclusive()) == ((1 << k) > -(-c // m))
 
 
 def test_repetition_family_is_the_trivial_cycle():

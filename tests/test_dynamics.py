@@ -2,6 +2,7 @@
 integer oracle."""
 
 import random
+import types
 from itertools import combinations
 
 import pytest
@@ -276,6 +277,27 @@ def test_replay_record_matches_the_m_form_oracle(case):
         assert _outcome(replay_record, *record) == _outcome(_replay_oracle, *record), record
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(3, 1), (5, 1), (3, -1), (7, 3)]), st.data())
+def test_a_flipped_bit_below_the_lift_fails_the_congruence_first(map_, data):
+    # at precision <= x + 1 the record's n0 is lifted to x + 2 bits; each
+    # flipped bit breaks n0 * modulus = C mod 2**precision, which is checked
+    # before the lift, so the lift never meets a residue that disagrees
+    q, d = map_
+    x = data.draw(st.integers(1, 39))
+    y = data.draw(st.integers(1, min(x, 40 - x)))
+    sigma = (0, *sorted(data.draw(st.permutations(range(1, x)))[:y - 1]))
+    precision = data.draw(st.integers(1, x + 1))
+    g = ghost_cycle(ParityPattern(x, y, sigma), precision, GeneralizedMap(q, d))
+    quo = g.verdict.value if isinstance(g.verdict, IntegerCycle) else None
+    c, modulus, mask = g.constant, g.modulus, (1 << precision) - 1
+    for bit in range(precision):
+        flipped = g.n0.residue ^ (1 << bit)
+        record = (q, d, x, sigma, c, flipped, modulus, precision, quo)
+        assert _outcome(replay_record, *record) == \
+            ("closure", y, c & mask, (flipped * modulus) & mask)
+
+
 def test_replay_record_starts_the_orbit_at_sigma_0():
     # the record of (x=5, y=2, sigma=(0, 3)) replayed with sigma (1, 3): an
     # orbit started at sigma_0 = 0 would shed the record's own 3 bits at
@@ -290,6 +312,29 @@ def test_verify_periodicity_examples():
     assert verify_periodicity(ParityPattern(2, 1, (0,)), 16)
     assert verify_periodicity(ParityPattern(4, 2, (0, 1)), 64)
     assert verify_periodicity(ParityPattern(5, 2, (0, 3)), 64)
+
+
+@pytest.mark.parametrize("perturb,violation", [
+    (lambda n0, p: n0 ^ 1, ("unit", 0, 0, 6)),  # an even start, 2^6 || n0 ^ 1 here
+    (lambda n0, p: n0 ^ 2, ("valuation", 0, 2, 1)),  # the first odd step sheds one bit too few
+    # the right halving counts all the way round, but bit x + y is off
+    (lambda n0, p: n0 + (1 << (p.x + p.y)), ("closure", 3, 0, None)),
+])
+def test_iterate_cycle_rejects_a_wrong_start(monkeypatch, perturb, violation):
+    from ghostcycles import dynamics
+
+    p = ParityPattern(7, 3, (0, 2, 4))
+
+    def wrong(p, precision, map_):
+        g = ghost_cycle(p, precision, map_)
+        return types.SimpleNamespace(n0=PadicInt(perturb(g.n0.residue, p), precision))
+
+    monkeypatch.setattr(dynamics, "ghost_cycle", wrong)
+    with pytest.raises(DynamicsViolation) as caught:
+        iterate_cycle(p, 32)
+    exc = caught.value
+    assert (exc.kind, exc.step, exc.expected, exc.observed) == violation
+    assert not verify_periodicity(p, 32)
 
 
 def _random_admissible(rng, ell_max=40):

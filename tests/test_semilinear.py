@@ -6,6 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ghostcycles.cycle import prefix_certificate
+from ghostcycles.patterns import ParityPattern, PatternError, enumerate_sigmas
 from ghostcycles.semilinear import (
     DimensionMismatch,
     FiberUndefined,
@@ -47,6 +49,9 @@ def test_membership_edge_cases():
     # zero period vectors must not stall the coefficient search
     assert membership(single((1, 0), (0, 0), (1, 1)), (3, 2))
     assert not membership(single((1, 0), (0, 0)), (3, 2))
+    # no combination of steps that leave the first coordinate fixed reaches
+    # x = 1: the search stays in the 2 x 151 box below the point
+    assert not membership(single((0, 0), (0, 1), (0, 1), (0, 1)), (1, 150))
 
 
 def test_component_validation():
@@ -58,6 +63,23 @@ def test_component_validation():
         SemilinearSet(())
     with pytest.raises(DimensionMismatch):
         SemilinearSet((LinearSet((0,), ()), LinearSet((0, 0), ())))
+
+
+@pytest.mark.parametrize("call,outcome", [
+    (lambda: LinearSet((), ()), ValueError),
+    (lambda: LinearSet((0, 0), ((1, -1),)), ValueError),
+    (lambda: membership(single((0, 0), (1, 1)), (-1, -1)), False),  # rejected, not raised
+    (lambda: fiber_period_exact(0, 5), ValueError),
+    (lambda: fiber_indicator(single((0, 0, 0), (1, 1, 1)), 1, 10), DimensionMismatch),
+    (lambda: prefix_certificate(ParityPattern(2, 1, (0,)), 0), ValueError),
+    (lambda: list(enumerate_sigmas(0, 3)), PatternError),
+])
+def test_out_of_contract_inputs_are_rejected(call, outcome):
+    if outcome is False:
+        assert call() is False
+        return
+    with pytest.raises(outcome):
+        call()
 
 
 def test_dy_membership_examples():
@@ -140,14 +162,10 @@ def fiber_cases(draw):
     comps = []
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["mixed", "steps", "growers"]))
-        # `membership`'s search grows with the window to the power of the
-        # vector count, so three nonzero vectors and first coordinates up to
-        # 8 (the seeded test's ranges) are drawn only for windows up to 40
-        small = bound <= 40
         low = 1 if kind == "growers" else 0
-        high = 0 if kind == "steps" else (8 if small else 6)
+        high = 0 if kind == "steps" else 8
         periods = draw(st.lists(st.tuples(st.integers(low, high), st.integers(0, 9)),
-                                max_size=3 if small else 2))
+                                max_size=3))
         periods = draw(st.permutations(periods + draw(st.sampled_from([[], [(0, 0)]]))))
         b1 = draw(st.one_of(st.integers(0, 12), st.integers(bound + 1, bound + 9)))
         comps.append(LinearSet((draw(st.integers(0, 12)), b1), tuple(periods)))
