@@ -152,9 +152,9 @@ def dy_membership(y: int, x: int, c: int) -> bool:
         raise ValueError(f"need y >= 1, got {y}")
     if x < 0 or c < 1:
         return False
-    # admissibility as the sign of the gap it needs anyway: this is the
-    # brute-force oracle's per-C query, and a call to is_admissible here
-    # costs it 15-35%
+    # admissibility as the sign of the gap it needs anyway, inline rather
+    # than through _gap: this is the independent pointwise definition that
+    # the tests hold dy_fiber_indicator to
     gap = (1 << x) - 3 ** y
     return gap > 0 and c % gap == 0
 
@@ -205,23 +205,45 @@ def _minimal_eventual_period(bits: int, length: int) -> int:
     )
 
 
-def fiber_period_bruteforce(y: int, x: int, scan_bound: int) -> int:
-    """Rediscover the fiber period from raw membership queries.
+def dy_fiber_indicator(y: int, x: int, bound: int) -> int:
+    """Bitmask of D_y's fiber {C <= bound : (x, C) in D_y}, bit C = indicator
+    at C: the layout of fiber_indicator.  The clauses that depend only on
+    the fiber (y >= 1, x >= 0, the gap's sign) are checked once, the range
+    leaves out C = 0, and each C then gets its own exact division, so the
+    period is not built in: it is left to the detector.  Tests hold every
+    bit to dy_membership."""
+    if y < 1:
+        raise ValueError(f"need y >= 1, got {y}")
+    if bound < 0:
+        raise ValueError(f"need bound >= 0, got {bound}")
+    if x < 0:
+        return 0
+    try:
+        gap = _gap(y, x)
+    except FiberUndefined:
+        return 0  # an inadmissible fiber is empty
+    # the binary digits, most significant (C = bound) first, turned into an
+    # int once: or-ing in one bit per member would copy the growing int
+    # once per member
+    digits = bytearray(b"0") * (bound + 1)
+    for c in range(1, bound + 1):
+        if c % gap == 0:
+            digits[bound - c] = 49  # ord("1")
+    return int(digits, 2)
 
-    Builds the indicator of C -> dy_membership(y, x, C) over [1, scan_bound]
-    and tests candidate periods directly; independent of the closed form.
-    A scan bound of at least 3x the true period guarantees a conclusive
-    and correct answer.
+
+def fiber_period_bruteforce(y: int, x: int, scan_bound: int) -> int:
+    """Rediscover the fiber period from the raw indicator.
+
+    Builds the indicator of D_y's fiber over C in [1, scan_bound], one
+    exact division per C (dy_fiber_indicator), and tests candidate
+    periods directly; independent of the closed form.  A scan bound of at
+    least 3x the true period guarantees a conclusive and correct answer.
     """
+    if scan_bound < 1:
+        raise ValueError(f"need scan_bound >= 1, got {scan_bound}")
     _gap(y, x)  # the gap's sign only: the period is left to the detector
-    # the indicator's binary digits, most significant (C = scan_bound)
-    # first, turned into an int once: or-ing in one bit per member would
-    # copy the growing int once per member
-    digits = bytearray(b"0") * scan_bound
-    for c in range(1, scan_bound + 1):
-        if dy_membership(y, x, c):
-            digits[scan_bound - c] = 49  # ord("1")
-    return _minimal_eventual_period(int(digits, 2), scan_bound)
+    return _minimal_eventual_period(dy_fiber_indicator(y, x, scan_bound) >> 1, scan_bound)
 
 
 def fiber_indicator(s: SemilinearSet, x: int, bound: int) -> int:
@@ -235,6 +257,8 @@ def fiber_indicator(s: SemilinearSet, x: int, bound: int) -> int:
     back into it."""
     if s.dimension != 2:
         raise DimensionMismatch(f"fiber analysis needs dimension 2, got {s.dimension}")
+    if bound < 0:
+        raise ValueError(f"need bound >= 0, got {bound}")
     window = (1 << (bound + 1)) - 1
     bits = 0
     for comp in s.components:

@@ -53,20 +53,37 @@ def test_traced_run_resolves_every_hook(argv, tmp_path):
         assert values["cycle.resolve_s"] > 0
 
 
-def test_the_benchmarks_argv_still_parses(capsys, monkeypatch, tmp_path):
-    # each workload's own argv, at its set-up size, and its own output check
-    from ghostcycles.cli import main
-
+def _load_run(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports its sibling `layers`
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
     bench = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, bench)  # @dataclass looks the module up there
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_the_benchmarks_argv_still_parses(capsys, monkeypatch, tmp_path):
+    # each workload's own argv, at its set-up size, and its own output check
+    from ghostcycles.cli import main
+
+    bench = _load_run(monkeypatch)
     for name, workload in bench.WORKLOADS.items():
         out_path = tmp_path / f"{name}.out"
         argv = workload.argv(True) + ["--seed", "1"] + ["--out", str(out_path)] * workload.writes_out
         assert main(argv) == 0, name
         assert workload.check(capsys.readouterr().out, out_path, True) > 0
+
+
+def test_fibers_oracle_at_full_size_agrees_on_every_row(capsys, monkeypatch):
+    # the measured argv itself: 13 rows of 200,000 brute-force queries each
+    from ghostcycles.cli import main
+
+    workload = _load_run(monkeypatch).WORKLOADS["fibers-oracle"]
+    assert main(workload.argv(False)) == 0
+    out = capsys.readouterr().out
+    rows = out.splitlines()[1:]
+    assert rows == [f"2,{x},{(1 << x) - 9},{(1 << x) - 9},true" for x in range(4, 17)]
+    assert workload.check(out, None, False) == 13 * 200_000
 
 
 def test_benchmark_reads_the_backend_name():

@@ -15,6 +15,7 @@ from ghostcycles.semilinear import (
     LinearSet,
     SemilinearSet,
     _minimal_eventual_period,
+    dy_fiber_indicator,
     dy_membership,
     fiber_eventual_period,
     fiber_indicator,
@@ -73,12 +74,23 @@ def test_component_validation():
     (lambda: fiber_indicator(single((0, 0, 0), (1, 1, 1)), 1, 10), DimensionMismatch),
     (lambda: prefix_certificate(ParityPattern(2, 1, (0,)), 0), ValueError),
     (lambda: list(enumerate_sigmas(0, 3)), PatternError),
+    # empty and negative windows: a ValueError that names the bound, not
+    # one raised by int() or a shift deeper down
+    pytest.param(lambda: fiber_period_bruteforce(1, 2, 0), (ValueError, "scan_bound >= 1"),
+                 id="bruteforce-empty-window"),
+    pytest.param(lambda: fiber_period_bruteforce(1, 2, -3), (ValueError, "scan_bound >= 1"),
+                 id="bruteforce-negative-window"),
+    pytest.param(lambda: fiber_eventual_period(single((0, 0), (0, 3)), 0, -2),
+                 (ValueError, "bound >= 0"), id="eventual-negative-window"),
+    pytest.param(lambda: dy_fiber_indicator(1, 2, -1), (ValueError, "bound >= 0"),
+                 id="dy-indicator-negative-window"),
 ])
 def test_out_of_contract_inputs_are_rejected(call, outcome):
     if outcome is False:
         assert call() is False
         return
-    with pytest.raises(outcome):
+    kind, match = outcome if isinstance(outcome, tuple) else (outcome, None)
+    with pytest.raises(kind, match=match):
         call()
 
 
@@ -108,10 +120,14 @@ def test_fiber_period_bruteforce_examples():
         fiber_period_bruteforce(2, 3, 30)
 
 
-def test_bruteforce_queries_each_c_once_and_detects_on_its_indicator(monkeypatch):
+def test_bruteforce_builds_the_indicator_once_and_detects_on_it(monkeypatch):
     from ghostcycles import semilinear
 
-    queries, seen = [], []
+    built, queries, seen = [], [], []
+
+    def indicator(y, x, bound):
+        built.append((y, x, bound))
+        return dy_fiber_indicator(y, x, bound)
 
     def counted(y, x, c):
         queries.append(c)
@@ -121,11 +137,24 @@ def test_bruteforce_queries_each_c_once_and_detects_on_its_indicator(monkeypatch
         seen.append((bits, length))
         return _minimal_eventual_period(bits, length)
 
+    monkeypatch.setattr(semilinear, "dy_fiber_indicator", indicator)
     monkeypatch.setattr(semilinear, "dy_membership", counted)
     monkeypatch.setattr(semilinear, "_minimal_eventual_period", detect)
     assert fiber_period_bruteforce(2, 4, 100) == 7
-    assert queries == list(range(1, 101))  # one membership query per C, in order
+    assert built == [(2, 4, 100)]  # one indicator over the whole window
+    assert queries == []  # and no per-C membership call
+    # C = 1 is the detector's bit 0, over exactly [1, scan_bound]
     assert seen == [(sum(1 << (c - 1) for c in range(7, 101, 7)), 100)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 6), st.integers(-2, 24), st.integers(0, 600))
+def test_dy_fiber_indicator_matches_pointwise_membership(y, x, bound):
+    bits = dy_fiber_indicator(y, x, bound)
+    assert bits >> (bound + 1) == 0
+    assert bits & 1 == 0  # C >= 1
+    assert [(bits >> c) & 1 == 1 for c in range(bound + 1)] == \
+        [dy_membership(y, x, c) for c in range(bound + 1)]
 
 
 def test_bruteforce_inconclusive_when_window_too_small():
