@@ -183,16 +183,17 @@ def _cell_worker(x, y, map_, precision, verify, hits):
     Sigma is walked in lexicographic order by recursion on its prefix,
     every entry but the last `depth` = min(_TAIL_DEPTH, y - 1), so the
     prefix always starts with sigma_0 = 0.  Each level carries the
-    prefix's part of C, of its n0 residue and of its text.  Once per cell,
-    a table holds every strictly increasing tail of the last `depth`
-    entries (one empty row for y = 1), with its text and its parts of C
-    and n0, built level by level in time proportional to its size.  The
-    tails that complete a prefix whose last entry is lo - 1 are exactly
-    the table's rows from offset[lo] on, so the walk's base case writes
-    them in one list comprehension: per record one add, one add-and-mask,
-    one exact division test and one f-string, with no Python call or
-    slice of its own.  Integral records (the comprehension leaves None)
-    and sampled records are then rewritten one by one by `record`.
+    prefix's entries and its part of C, of its n0 residue and of its text.
+    Once per cell, a table holds every strictly increasing tail of the last
+    `depth` entries (one empty row for y = 1), with its text, its parts of
+    C and n0 and its entries, built level by level in time proportional to
+    its size.  The tails that complete a prefix whose last entry is lo - 1
+    are exactly the table's rows from offset[lo] on, so the walk's base
+    case writes them in one list comprehension: per record one add, one
+    add-and-mask, one exact division test and one f-string, with no Python
+    call or slice of its own.  One pass in index order then rewrites the
+    integral records (the comprehension leaves None) and the sampled
+    records, each line once.
 
     Every field is an int or a digit string, so the fixed template writes
     the bytes of json.dumps(ghost_record(g, map_), separators=(",", ":"))
@@ -226,66 +227,57 @@ def _cell_worker(x, y, map_, precision, verify, hits):
         sep = "," if k < y - 1 else mid
         levels.append([(f"{s}{sep}", scale << s, ((scale << s) * inv) & mask) for s in range(x)])
     # the table of tails: every strictly increasing run of the last `depth`
-    # entries, lexicographic, as (text, C term, n0 term) rows; tails[r] is
-    # row r's entries and offset[v] the first row whose first entry is >= v,
-    # built from the last level up, each row once from a row of the level below
+    # entries, lexicographic, as (text, C term, n0 term, entries) rows, and
+    # offset[v] the first row whose first entry is >= v, built from the last
+    # level up, each row once from a row of the level below
     depth = min(_TAIL_DEPTH, y - 1)
     top = y - depth  # entries below `top` are the walked prefix
-    rows, tails, offset = [("", 0, 0)], [()], [0] * (x + 1)
+    rows, offset = [("", 0, 0, ())], [0] * (x + 1)
     for k in range(y - 1, top - 1, -1):
-        below, below_tails, below_offset = rows, tails, offset
-        rows, tails, offset = [], [], []
+        below, below_offset = rows, offset
+        rows, offset = [], []
         for s in range(x + 1):
             offset.append(len(rows))
             if k <= s < x:
                 text, cs, ns = levels[k][s]
-                r = below_offset[s + 1]
-                rows += [(text + t, cs + c, ns + n) for t, c, n in below[r:]]
-                tails += [(s, *entries) for entries in below_tails[r:]]
-    chosen = [0] * top
+                rows += [(text + t, cs + c, ns + n, (s, *e))
+                         for t, c, n, e in below[below_offset[s + 1]:]]
     samples = iter(verify)
     size = comb(x - 1, y - 1)
     nxt = next(samples, size)  # the cell's size once every sample is replayed
     lines: list[str] = []
     done = 0  # records of the cell written before the current run of rows
 
-    def record(pre, text, c, n0):
-        """One record's line and its quotient (None for a ghost)."""
-        if c % modulus:
-            return f"{pre}{text}{c}{n0_at}{n0}{ghost}", None
-        quo = c // modulus
-        return f"{pre}{text}{c}{n0_at}{n0}{integer}{quo}\"{tail}", quo
-
-    def walk(k, lo, base, bn0, pre):
+    def walk(k, lo, base, bn0, pre, prefix):
         nonlocal nxt, done
         if k < top:
             for s in range(lo, x - (y - 1 - k)):
-                chosen[k] = s
                 text, cs, ns = levels[k][s]
-                yield from walk(k + 1, s + 1, base + cs, bn0 + ns, pre + text)
+                yield from walk(k + 1, s + 1, base + cs, bn0 + ns, pre + text, prefix + (s,))
             return
         start = offset[lo]
         chunk = [f"{pre}{text}{c}{n0_at}{(bn0 + ns) & mask}{ghost}" if (c := base + cs) % modulus
-                 else None for text, cs, ns in rows[start:]]
-        if None in chunk:  # integer cycles are rare: write them one by one
-            for i, line in enumerate(chunk):
-                if line is None:
-                    text, cs, ns = rows[start + i]
-                    chunk[i], quo = record(pre, text, base + cs, (bn0 + ns) & mask)
-                    hits.append((x, y, (*chosen, *tails[start + i]), quo, admissible))
-        end = done + len(chunk)
-        if nxt < end:
-            prefix = tuple(chosen)
-            while nxt < end:
-                r = start + nxt - done
-                text, cs, ns = rows[r]
-                c, n0 = base + cs, (bn0 + ns) & mask
-                # the line written is the one built from the replayed C, n0
-                # and quotient; DynamicsViolation escapes as exit 2
-                chunk[r - start], quo = record(pre, text, c, n0)
-                replay_record(q, d, x, prefix + tails[r], c, n0, modulus, precision, quo)
+                 else None for text, cs, ns, _ in rows[start:]]
+        count = len(chunk)
+        # one pass in index order over the integral (None above) and sampled
+        # records, built and replayed from one C, n0 and quotient; a
+        # DynamicsViolation escapes as exit 2
+        integral = chunk.index(None) if None in chunk else count
+        while (i := min(integral, nxt - done)) < count:
+            text, cs, ns, entries = rows[start + i]
+            c, n0 = base + cs, (bn0 + ns) & mask
+            if c % modulus:
+                quo = None
+                chunk[i] = f"{pre}{text}{c}{n0_at}{n0}{ghost}"
+            else:
+                quo = c // modulus
+                chunk[i] = f"{pre}{text}{c}{n0_at}{n0}{integer}{quo}\"{tail}"
+                hits.append((x, y, prefix + entries, quo, admissible))
+                integral = chunk.index(None) if None in chunk else count
+            if i == nxt - done:
+                replay_record(q, d, x, prefix + entries, c, n0, modulus, precision, quo)
                 nxt = next(samples, size)
-        done = end
+        done += count
         lines.extend(chunk)
         if len(lines) >= _BLOCK_LINES:
             # the writer encodes one bounded block at a time, never a whole cell
@@ -294,7 +286,7 @@ def _cell_worker(x, y, map_, precision, verify, hits):
             yield block
 
     text, cs, ns = levels[0][0]  # sigma_0 is always 0
-    yield from walk(1, 1, cs, ns, head + text)
+    yield from walk(1, 1, cs, ns, head + text, (0,))
     if lines:
         yield "\n".join(lines)
     del walk  # it reaches itself through its closure: free the cell now, not at the next gc

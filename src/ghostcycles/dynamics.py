@@ -208,17 +208,20 @@ def verify_periodicity(p: ParityPattern, precision: int, map_: GeneralizedMap = 
     return True
 
 
-def iterate_integer(n: int, max_steps: int = 10_000, map_: GeneralizedMap = COLLATZ) -> list[int]:
+_MAX_STEPS = 10_000  # iterate_integer's bound on the steps of one trajectory
+
+
+def iterate_integer(n: int, map_: GeneralizedMap = COLLATZ) -> list[int]:
     """Classical integer trajectory, one halving per step.
 
-    Runs until the start value reappears or max_steps is hit; returns the
-    full value sequence including the start.
+    Runs until the start value reappears or _MAX_STEPS steps are taken;
+    returns the full value sequence including the start.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     seq = [n]
     v = n
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         v = v // 2 if v % 2 == 0 else map_.q * v + map_.d
         seq.append(v)
         if v == n:

@@ -51,7 +51,8 @@ class DimensionMismatch(ValueError):
 
 
 class FiberUndefined(ValueError):
-    """(x, y) is inadmissible: 2**x <= 3**y, so the fiber has no positive gap."""
+    """x < 0, or (x, y) is inadmissible: 2**x <= 3**y, so the fiber has no
+    positive gap."""
 
 
 class InconclusivePeriod(RuntimeError):
@@ -160,7 +161,10 @@ def dy_membership(y: int, x: int, c: int) -> bool:
 
 
 def _gap(y: int, x: int) -> int:
-    """2**x - 3**y, the gap of the fiber at x; FiberUndefined unless positive."""
+    """2**x - 3**y, the gap of the fiber at x; FiberUndefined unless x >= 0
+    and the gap is positive."""
+    if x < 0:
+        raise FiberUndefined(f"need x >= 0, got x={x}")
     gap = (1 << x) - 3 ** y
     if gap <= 0:
         raise FiberUndefined(f"(x={x}, y={y}) is inadmissible: 2^x <= 3^y")
@@ -216,12 +220,10 @@ def dy_fiber_indicator(y: int, x: int, bound: int) -> int:
         raise ValueError(f"need y >= 1, got {y}")
     if bound < 0:
         raise ValueError(f"need bound >= 0, got {bound}")
-    if x < 0:
-        return 0
     try:
         gap = _gap(y, x)
     except FiberUndefined:
-        return 0  # an inadmissible fiber is empty
+        return 0  # the fiber at x < 0 or at an inadmissible x is empty
     # the binary digits, most significant (C = bound) first, turned into an
     # int once: or-ing in one bit per member would copy the growing int
     # once per member
@@ -309,16 +311,19 @@ def lcm_period_bound(s: SemilinearSet) -> int:
     return bound
 
 
-def random_semilinear_set(
-    rng, max_components: int = 3, max_vectors: int = 3, coord_bound: int = 8
-) -> SemilinearSet:
+# the size of random_semilinear_set's sets: components, vectors per component,
+# and the largest coordinate of a base or a vector
+_MAX_COMPONENTS, _MAX_VECTORS, _COORD_BOUND = 3, 3, 8
+
+
+def random_semilinear_set(rng) -> SemilinearSet:
     """Synthetic generator for property tests: small random sets in N^2."""
     comps = []
-    for _ in range(rng.randint(1, max_components)):
-        base = (rng.randint(0, coord_bound), rng.randint(0, coord_bound))
+    for _ in range(rng.randint(1, _MAX_COMPONENTS)):
+        base = (rng.randint(0, _COORD_BOUND), rng.randint(0, _COORD_BOUND))
         periods = tuple(
-            (rng.randint(0, coord_bound), rng.randint(0, coord_bound))
-            for _ in range(rng.randint(0, max_vectors))
+            (rng.randint(0, _COORD_BOUND), rng.randint(0, _COORD_BOUND))
+            for _ in range(rng.randint(0, _MAX_VECTORS))
         )
         comps.append(LinearSet(base, periods))
     return SemilinearSet(tuple(comps))

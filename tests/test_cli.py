@@ -11,7 +11,7 @@ import sys
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ghostcycles import _kernel_py, cli
 from ghostcycles.cli import main
@@ -346,6 +346,11 @@ def sampled_cells(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(sampled_cells())
+# sampled records that are also integral: the one rewrite pass must append
+# each one's hit once and replay the very values of the line it writes
+@example((2, 1, 3, 1, 64, (0,)))  # the cycle through 1
+@example((4, 2, 3, 1, 64, (0, 1, 2)))  # index 1 is sigma (0, 2), the cycle through 1
+@example((7, 3, 5, 1, 64, tuple(range(comb(6, 2)))))  # 5n+1: six integral records, all sampled
 def test_sampled_cell_writer_equals_the_kernel_oracle_and_replays_its_lines(cell):
     x, y, q, d, precision, verify = cell
     calls, hits = [], []

@@ -84,6 +84,12 @@ def test_component_validation():
                  (ValueError, "bound >= 0"), id="eventual-negative-window"),
     pytest.param(lambda: dy_fiber_indicator(1, 2, -1), (ValueError, "bound >= 0"),
                  id="dy-indicator-negative-window"),
+    # a negative x has no fiber: FiberUndefined names it, not a ValueError
+    # raised by a negative shift
+    pytest.param(lambda: fiber_period_exact(1, -1), (FiberUndefined, "x >= 0, got x=-1"),
+                 id="exact-negative-x"),
+    pytest.param(lambda: fiber_period_bruteforce(1, -1, 10), (FiberUndefined, "x >= 0, got x=-1"),
+                 id="bruteforce-negative-x"),
 ])
 def test_out_of_contract_inputs_are_rejected(call, outcome):
     if outcome is False:
