@@ -6,7 +6,9 @@ argparse enforces every choice, so any other flag, abbreviation or value
 exits 1 before work.  `general` is `scan` with `--map q,d` required.
 
 Exit codes: 0 success, 1 usage error, 2 dynamics violation (should never
-happen; a genuine bug if it does), 3 I/O failure.
+happen; a genuine bug if it does), 3 I/O or memory failure.  Every output
+is an exact decimal integer, so `main` lifts CPython's cap on int/str
+conversion for its own process.
 
 Every command runs in the calling process.  A scan's `--jobs` (>= 1) and
 `fibers --seed` are accepted for compatibility and have no effect.
@@ -299,9 +301,19 @@ def cmd_scan(args) -> int:
     q, d = map_.q, map_.d
     started = time.perf_counter()
 
+    # scan indices are machine ints (the sample is drawn from range(total),
+    # whose len() is a C ssize_t), so the patterns are counted before any
+    # cell is sized, and an out-of-reach --ell-max fails at once
+    total, here, after = 0, 1, 1  # here = F(ell - 1) patterns of length ell
+    for ell in range(2, args.ell_max + 1):
+        total += here
+        if total > sys.maxsize:
+            raise ValueError(f"--ell-max {args.ell_max} is out of reach: the {total} patterns"
+                             f" up to ell {ell} exceed sys.maxsize = {sys.maxsize}")
+        here, after = after, here + after
+
     shapes = [(x, y) for _, y, x in length_cells(args.ell_max)]
     sizes = [comb(x - 1, y - 1) for x, y in shapes]
-    total = sum(sizes)
     sample_size = min(args.verify_sample, total)
     rng = random.Random(args.seed)
     if 2 * sample_size > total:
@@ -461,6 +473,8 @@ def _report(message: str) -> None:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # CPython 3.10.7 on
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -478,6 +492,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         _report(f"i/o error: {exc}")
+        return 3
+    except MemoryError:
+        _report("error: out of memory")
         return 3
 
 

@@ -13,11 +13,13 @@ intermediate value is a unit, and after y odd steps the orbit closes.
 `iterate_cycle` replays this and treats any mismatch as a hard error:
 the structure guarantees it cannot happen, so an occurrence means an
 implementation bug, never a data condition.  `replay_record` makes the
-same checks with plain ints on a record's own `n0` and verdict, so that
-a scan verifies what it writes rather than a value it re-solves.  It
-replays the scaled orbit A_k = 2**sigma_k * m_k, which needs one
-multiply-add and one low-bit test per odd step and never shifts the
-value down; the tests hold it to the unscaled loop on m_k.
+same checks on a scan record's own C, n0 and verdict, so that a scan
+verifies what it writes rather than a value it re-solves.  The modulus
+m = 2**x - q**y is odd, so it replays the orbit of the rational n0 = C/m
+exactly on the numerators a_k = m * n_k, which needs no precision and
+pins C exactly: Lagarias's correspondence between the rational cycles of
+3x + 1 with denominator m and the integer cycles of 3x + m (Acta Arith.
+56, 1990).  The tests hold it to the unscaled loop on truncated m_k.
 
 The classical single-step integer map (one halving per step) is kept
 separately as a cross-check oracle; mixing the two would break step
@@ -30,7 +32,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .cycle import ghost_cycle
-from .padic import PadicInt, PrecisionError, ValuationIndeterminate, _inverse_mod_pow2
+from .padic import PadicInt, PrecisionError, ValuationIndeterminate
 from .patterns import COLLATZ, Frozen, GeneralizedMap, ParityPattern, _set
 
 
@@ -134,20 +136,21 @@ def replay_record(
     q: int, d: int, x: int, sigma: tuple[int, ...], c: int, n0: int, modulus: int, precision: int,
     quotient: int | None,
 ) -> None:
-    """Check one scan record of the map qn + d by replaying its own n0.
+    """Check one scan record of the map qn + d by replaying its exact orbit.
 
     The record's verdict comes first: an integer cycle's written quotient
     must satisfy quotient * modulus = C exactly, and a ghost (quotient
     None) needs C mod modulus != 0.  The record's residue must lie below
     2**precision and satisfy n0 * modulus = C mod 2**precision.  Then the
-    orbit of n0 is replayed with int arithmetic: every m_k must be odd,
-    the k-th odd step must shed exactly s_{k+1} bits, and after x halvings
-    the orbit must close at the precision left.  Closure means n0 *
-    modulus equals the pattern's own cycle constant mod 2**precision, so
-    the two checks together also pin the record's C to sigma modulo
-    2**precision.  A record with precision <= x + 1 has too few bits to
-    close; its n0 is then solved at x + 2 bits from C, and that value is
-    replayed.  Any mismatch raises DynamicsViolation.
+    orbit of the rational C / modulus is replayed on its numerators, which
+    needs no precision: a_0 = C must be odd, and at step k the int t =
+    q * a_k + d * modulus must shed exactly s_{k+1} = sigma_{k+1} - sigma_k
+    bits (sigma_y = x), so that a_{k+1} = t >> s_{k+1} is odd again.
+    After y steps the orbit must close on a_y = C exactly.  For a sigma
+    that starts at 0 and modulus = 2**x - q**y, closure means
+    C * modulus = d * modulus * S, so C is the pattern's own cycle
+    constant d * S: a record with any other C is rejected.  Any mismatch
+    raises DynamicsViolation.
     """
     y = len(sigma)
     exact, rem = divmod(c, modulus)
@@ -158,41 +161,23 @@ def replay_record(
     mask = (1 << precision) - 1
     if n0 >> precision or (n0 * modulus - c) & mask:
         raise DynamicsViolation(y, c & mask, (n0 * modulus) & mask, kind="closure")
-    width = precision
-    if precision <= x + 1:
-        width = x + 2
-        wide = (1 << width) - 1
-        # the lift's low bits are the record's n0: modulus = 2**x - q**y is
-        # odd, so the check above leaves n0 the only residue below
-        # 2**precision with n0 * modulus = C, and the lift satisfies it too
-        n0 = (c * _inverse_mod_pow2(modulus & wide, width)) & wide
-    # The orbit is replayed scaled: a = A_k = 2**sigma_k * m_k, so that
-    # A_0 = n0 << sigma_0 and A_{k+1} = q * A_k + (d << sigma_k), and step
-    # k sheds s_{k+1} bits iff v2(A_{k+1}) = sigma_{k+1} (sigma_y = x).
-    # Entering sigma_k, the loop tests v2(a) = sigma_k; at k = 0 that is
-    # the test that n0 is odd.  Only the low width + sigma_0 bits of A are
-    # the orbit's.  The bits above are never masked off: they only move up.
-    # width starts at x + 2 or more (the lift above sees to that), so bit
-    # sigma_{k+1} of A_{k+1} is always a known bit.  Step indices and
-    # observed valuations are rebuilt only once a test has failed.
-    a = n0 << sigma[0]
-    for s in sigma:
-        if a & ((2 << s) - 1) != 1 << s:
-            k = sigma.index(s)  # sigma strictly increases: its entry names the step
-            break
-        a = q * a + (d << s)
-    else:
-        if a & ((2 << x) - 1) == 1 << x:
-            if (a - (n0 << x)) & ((1 << (width + sigma[0])) - 1):
-                raise DynamicsViolation(y, 0, None, kind="closure")
-            return
-        k, s = y, x
-    if not k:
-        raise DynamicsViolation(0, 0, (n0 & -n0).bit_length() - 1 if n0 else None, kind="unit")
-    lo = sigma[k - 1]
-    known = width + sigma[0] - lo  # the bits of t = q * m + d that the record fixes
-    t = (a >> lo) & ((1 << known) - 1)
-    raise DynamicsViolation(k - 1, s - lo, (t & -t).bit_length() - 1 if t else known)
+    if not c & 1:
+        raise DynamicsViolation(0, 0, (c & -c).bit_length() - 1 if c else None, kind="unit")
+    # Each step shifts first and then tests: bit 0 of a is bit e of t, and
+    # a << e == t holds iff t's low e bits are zero, so together they say
+    # v2(t) = e and leave the next a odd.  The step index and the observed
+    # count are worked out only once a test has failed.
+    a, dm, lo = c, d * modulus, sigma[0]
+    for hi in (*sigma[1:], x):
+        e = hi - lo
+        t = q * a + dm
+        a = t >> e
+        if not a & 1 or a << e != t:
+            k = sigma.index(lo)  # sigma strictly increases: its entry names the step
+            raise DynamicsViolation(k, e, (t & -t).bit_length() - 1 if t else None)
+        lo = hi
+    if a != c:
+        raise DynamicsViolation(y, 0, None, kind="closure")
 
 
 def verify_periodicity(p: ParityPattern, precision: int, map_: GeneralizedMap = COLLATZ) -> bool:

@@ -163,7 +163,7 @@ def test_scan_template_is_json_dumps_of_the_library_record(argv, precision, caps
     expected = "".join(expected).encode()
     base = ["scan", "--ell-max", "16", *argv]
     if precision != 64:
-        # replay every record; at precision 5 each with x >= 4 takes the lifted replay
+        # replay every record; at precision 5 most records have x >= precision
         base += ["--precision", str(precision), "--verify-sample", "100000"]
     out_path = tmp_path / "scan.jsonl"
     assert run([*base, "--jobs", "2", "--out", str(out_path)], capsys)[0] == 0  # --jobs is a no-op
@@ -181,8 +181,14 @@ def test_scan_template_is_json_dumps_of_the_library_record(argv, precision, caps
         (["--verify-sample", "-1"], "argument --verify-sample: must be >= 0, got -1"),
         (["--format", "csv"], "error: unrecognized arguments: --format csv"),
         (["--format", "text"], "error: unrecognized arguments: --format text"),
+        # past sys.maxsize patterns (a 64-bit build), before any cell is sized
+        (["--ell-max", "92"], "error: --ell-max 92 is out of reach: the 12200160415121876737"
+                              " patterns up to ell 92 exceed sys.maxsize = 9223372036854775807"),
+        (["--ell-max", "3000"], "error: --ell-max 3000 is out of reach: the 12200160415121876737"
+                                " patterns up to ell 92 exceed sys.maxsize"),
     ],
-    ids=["precision-0", "jobs-0", "verify-sample-negative", "format-csv", "format-text"],
+    ids=["precision-0", "jobs-0", "verify-sample-negative", "format-csv", "format-text",
+         "ell-max-92", "ell-max-3000"],
 )
 def test_scan_rejects_inputs_outside_its_contract_before_any_work(flags, message, capsys,
                                                                   tmp_path, monkeypatch):
@@ -287,6 +293,28 @@ def test_scan_with_an_integer_value_off_by_one_exits_two(capsys, monkeypatch, tm
     code, _, err = run([*base, "--verify-sample", "1000"], capsys)
     assert code == 2
     assert "dynamics violation: verdict violation at odd step " in err
+
+
+def test_scan_with_c_moved_past_the_precision_exits_two(capsys, monkeypatch, tmp_path):
+    # C moved by modulus * 2**(precision + x) keeps n0 * modulus = C mod
+    # 2**precision and moves an integral record's quotient by 2**(precision
+    # + x); the orbit of the moved C / modulus then closes mod 2**precision,
+    # so only an exact closure can tell
+    mutant = _cell_worker_with(
+        "c, n0 = base + cs, (bn0 + ns) & mask\n",
+        "c, n0 = base + cs + (modulus << (precision + x)), (bn0 + ns) & mask\n")
+    monkeypatch.setattr(cli, "_cell_worker", mutant)
+    out_path = tmp_path / "scan.jsonl"
+    base = ["scan", "--ell-max", "12", "--out", str(out_path)]
+    assert run([*base, "--verify-sample", "0"], capsys)[0] == 0
+    line = next(line for line in out_path.read_text().splitlines()
+                if line.startswith('{"pattern":{"x":4,"y":2,"sigma":[0,2],'))
+    rec = json.loads(line)
+    assert (rec["C"], rec["n0"]["residue"], rec["integer_value"]) == (
+        str(7 + (7 << 68)), "1", str(1 + (1 << 68)))
+    code, _, err = run([*base, "--verify-sample", "100000"], capsys)
+    assert code == 2
+    assert "dynamics violation: closure violation at odd step " in err
 
 
 @pytest.mark.parametrize("q,d", [(3, 1), (5, 1), (3, -1), (7, 3)])
@@ -615,6 +643,87 @@ def test_full_flag_names_and_flag_equals_value_still_parse(command, capsys, tmp_
     pairs = [f"{argv[i]}={argv[i + 1]}" for i in range(1, len(argv), 2)]
     assert run([command, *pairs, f"--out={joined}"], capsys)[0] == 0
     assert joined.read_bytes() == spaced.read_bytes() != b""
+
+
+@pytest.fixture
+def default_digit_cap():
+    """CPython's default cap on int/str conversion for the test, and the
+    cap the process had before restored after it."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before CPython 3.10.7
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def _round_trips(text):
+    assert str(int(text)) == text
+    return int(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_ghost_writes_every_integer_exactly_past_the_digit_cap(fmt, capsys, default_digit_cap):
+    code, out, err = run(["ghost", "--x", "4", "--y", "2", "--sigma", "0,1", "--precision", "20000",
+                          "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        payload = json.loads(out)
+        rec = payload["ghost"]
+        c, modulus, n0 = rec["C"], rec["modulus"], rec["n0"]["residue"]
+        for m in payload["trace"]["m"]:
+            _round_trips(m["residue"])
+    else:
+        fields = dict(line.split(" = ", 1) for line in out.splitlines() if " = " in line)
+        c, modulus = fields["C"], fields["modulus"]
+        n0, _, at = fields["n0"].partition(" + ")
+        assert at == "O(2^20000)"
+    assert len(n0) > 4300  # past CPython's default cap
+    assert (_round_trips(n0) * _round_trips(modulus) - _round_trips(c)) % (1 << 20000) == 0
+
+
+def test_scan_replays_every_record_past_the_digit_cap(capsys, monkeypatch, tmp_path,
+                                                      default_digit_cap):
+    calls = []
+    real = cli.replay_record
+
+    def spy(*record):
+        calls.append(record)
+        real(*record)
+
+    monkeypatch.setattr(cli, "replay_record", spy)
+    out_path = tmp_path / "scan.jsonl"
+    code, out, _ = run(["scan", "--ell-max", "6", "--precision", "20000", "--verify-sample",
+                        "100000", "--out", str(out_path)], capsys)
+    assert code == 0 and " verified_sample=12\n" in out
+    lines = out_path.read_text().splitlines()
+    assert len(lines) == len(calls) == 12
+    for line, (*_, c, n0, modulus, precision, _quo) in zip(lines, calls):
+        rec = json.loads(line)
+        assert (_round_trips(rec["C"]), _round_trips(rec["n0"]["residue"])) == (c, n0)
+        assert precision == 20000 and (n0 * modulus - c) % (1 << 20000) == 0
+
+
+def test_witness_and_fibers_print_their_closed_forms_past_the_digit_cap(capsys, default_digit_cap):
+    code, out, _ = run(["witness", "--y", "20000", "--bound", "1"], capsys)
+    x = (1 + 3**20000).bit_length()
+    assert (code, out) == (0, f"y=20000 M=1 -> x={x} period={(1 << x) - 3**20000}\n")
+    code, out, _ = run(["fibers", "--y", "9100", "--x-min", "14425", "--x-max", "14427"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["y,x,period_exact,period_bruteforce,agree"] + [
+        f"9100,{x},{(1 << x) - 3**9100},," for x in (14425, 14426, 14427)]
+
+
+def test_out_of_memory_exits_three_with_one_line(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_witness", exhausted)
+    code, out, err = run(["witness", "--y", "1", "--bound", "1"], capsys)
+    assert (code, out, err) == (3, "", "error: out of memory\n")
 
 
 def test_unwritable_out_is_io_error(capsys):

@@ -70,7 +70,7 @@ def scan_vectors(draw):
     for `general`, which is `scan` with --map required.  Neither takes
     --format or a single-pattern flag."""
     f = _Flags(draw, draw(st.sampled_from(["scan", "general"])))
-    ell = f.option("--ell-max", range(2, 11), [1])
+    ell = f.option("--ell-max", range(2, 11), [1, 92, 3000])
     if f.command == "scan":
         f.option("--map", [None, *MAPS], BAD_MAPS)
     else:

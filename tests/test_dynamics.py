@@ -76,7 +76,7 @@ def test_trace_invariants_on_examples():
 
 
 def _replay_cases(q, d, ell_max):
-    # records solved by the cycle module, at the precisions around the lift
+    # records solved by the cycle module, at precisions below, at and past x + 2
     m = GeneralizedMap(q, d)
     for p, _adm in enumerate_by_length(ell_max):
         for precision in (p.x, p.x + 1, p.x + 2, 64):
@@ -189,7 +189,9 @@ def test_replay_record_accepts_what_the_traced_replay_closes(q, d):
 
 def _replay_oracle(q, d, x, sigma, c, n0, modulus, precision, quotient):
     """replay_record's reference: the same checks in the same order, with the
-    orbit replayed on the unit m itself (t = q*m + d, shift out e bits)."""
+    orbit of n0's known bits replayed on the unit m itself (t = q*m + d,
+    shift out e bits), n0 lifted to x + 2 bits from C when the record has
+    fewer.  It pins C only modulo 2**max(precision, x + 2)."""
     y = len(sigma)
     exact = None if c % modulus else c // modulus
     if quotient != exact:
@@ -230,9 +232,9 @@ def _outcome(replay, *record):
 
 @st.composite
 def _replay_inputs(draw):
-    """A map, a pattern up to ell 40, a precision around the lift, and
-    what the perturbations need: a bit, a sign, another sigma of the cell
-    and a first sigma entry."""
+    """A map, a pattern up to ell 40, a precision around x, and what the
+    perturbations need: a bit, a sign, another sigma of the cell, a first
+    sigma entry and how far past the precision the blind spot moves C."""
     q, d = draw(st.sampled_from([(3, 1), (5, 1), (3, -1), (7, 3)])
                 | st.tuples(st.sampled_from([3, 5, 7, 9]), st.integers(-15, 15).filter(lambda v: v % 2)))
     x = draw(st.integers(1, 39))
@@ -245,49 +247,120 @@ def _replay_inputs(draw):
 
     precision = draw(st.sampled_from([x, x + 1, x + 2, 64, x + 64]))
     return (q, d, ParityPattern(x, y, sigma()), precision, draw(st.integers(0, precision - 1)),
-            draw(st.sampled_from([-1, 1])), sigma(), draw(st.sampled_from([1, 2])))
+            draw(st.sampled_from([-1, 1])), sigma(), draw(st.sampled_from([1, 2])),
+            draw(st.integers(0, x + 70)))
 
 
-@settings(max_examples=300, deadline=None)
-@given(_replay_inputs())
-@example((3, 1, ParityPattern(5, 2, (0, 3)), 64, 0, 1, (0, 3), 1))  # sigma (1, 3): step 0 fails
-def test_replay_record_matches_the_m_form_oracle(case):
-    q, d, p, precision, bit, step, other, first = case
-    g = ghost_cycle(p, precision, GeneralizedMap(q, d))
-    c, n0, modulus = g.constant, g.n0.residue, g.modulus
+def _built(q, d, x, sigma, precision):
+    """The record that ghost_cycle builds for sigma, as (sigma, C, n0,
+    quotient), or None when sigma is no pattern."""
+    if sigma[0]:
+        return None
+    g = ghost_cycle(ParityPattern(x, len(sigma), sigma), precision, GeneralizedMap(q, d))
     quo = g.verdict.value if isinstance(g.verdict, IntegerCycle) else None
-    x, sigma, mask = p.x, p.sigma, (1 << precision) - 1
+    return sigma, g.constant, g.n0.residue, quo
+
+
+def _perturbed(case):
+    """The drawn pattern's modulus and its record, followed by perturbed
+    records, each as (sigma, C, n0, quotient)."""
+    q, d, p, precision, bit, step, other, first, past = case
+    own = sigma, c, n0, quo = _built(q, d, p.x, p.sigma, precision)
+    modulus, mask = (1 << p.x) - q**p.y, (1 << precision) - 1
     shifted = (quo if quo is not None else c // modulus) + step
+    blind = precision + past
     records = [
-        (sigma, c, n0, quo),
+        own,
         (sigma, c, n0 ^ (1 << bit), quo),
         # C, n0 and quotient moved together, so only the orbit can tell
         (sigma, c + (modulus << bit), (n0 + (1 << bit)) & mask,
          None if quo is None else quo + (1 << bit)),
+        # the blind spot of a replay on n0's bits: C and quotient moved
+        # past the precision, n0 unchanged
+        (sigma, c + (modulus << blind), n0, None if quo is None else quo + (1 << blind)),
         (sigma, c + step * modulus, n0, quo),
         (sigma, c + step * modulus, n0, None if quo is None else quo + step),
         (sigma, c, n0, shifted),
         (other, c, n0, quo),
     ]
-    if first < (sigma[1] if p.y > 1 else x):
+    if first < (sigma[1] if p.y > 1 else p.x):
         records.append(((first, *sigma[1:]), c, n0, quo))
-    assert _outcome(replay_record, q, d, x, sigma, c, n0, modulus, precision, quo) == "accepted"
-    for sig, c_, n0_, quo_ in records:
-        record = (q, d, x, sig, c_, n0_, modulus, precision, quo_)
-        assert _outcome(replay_record, *record) == _outcome(_replay_oracle, *record), record
+    return modulus, records
+
+
+# the record of (x=5, y=2, sigma=(0, 3)) replayed with sigma (1, 3) fails at step 0
+_SIGMA_1_3 = (3, 1, ParityPattern(5, 2, (0, 3)), 64, 0, 1, (0, 3), 1, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_replay_inputs())
+@example(_SIGMA_1_3)
+def test_replay_record_accepts_exactly_the_records_ghost_cycle_builds(case):
+    q, d, p, precision = case[:4]
+    modulus, records = _perturbed(case)
+    for sig, c, n0, quo in records:
+        record = (q, d, p.x, sig, c, n0, modulus, precision, quo)
+        accepted = _outcome(replay_record, *record) == "accepted"
+        assert accepted == ((sig, c, n0, quo) == _built(q, d, p.x, sig, precision)), record
+
+
+@settings(max_examples=300, deadline=None)
+@given(_replay_inputs())
+@example(_SIGMA_1_3)
+def test_replay_record_rejects_what_the_m_form_oracle_rejects(case):
+    # at the same step with the same kind; the observed count may differ
+    # where the oracle runs out of known bits
+    q, d, p, precision = case[:4]
+    modulus, records = _perturbed(case)
+    for sig, c, n0, quo in records:
+        record = (q, d, p.x, sig, c, n0, modulus, precision, quo)
+        oracle = _outcome(_replay_oracle, *record)
+        if oracle != "accepted":
+            assert _outcome(replay_record, *record)[:2] == oracle[:2], record
+
+
+@settings(max_examples=300, deadline=None)
+@given(_replay_inputs())
+@example(_SIGMA_1_3)
+def test_replay_record_reports_the_m_form_oracles_violation_for_the_patterns_own_c(case):
+    # the two replays part only on a record whose C is not the pattern's own
+    q, d, p, precision = case[:4]
+    modulus, records = _perturbed(case)
+    c = records[0][1]
+    for sig, c_, n0, quo in records:
+        if c_ == c:
+            record = (q, d, p.x, sig, c, n0, modulus, precision, quo)
+            assert _outcome(replay_record, *record) == _outcome(_replay_oracle, *record), record
+
+
+@pytest.mark.parametrize("x,y,sigma,precision", [
+    (4, 2, (0, 2), 64), (5, 2, (0, 3), 64), (14, 6, (0, 1, 2, 7, 8, 9), 5), (3, 1, (0,), 1)])
+@pytest.mark.parametrize("q,d", [(3, 1), (5, 1), (3, -1), (7, 3)])
+def test_replay_record_rejects_a_c_moved_past_the_precision(q, d, x, y, sigma, precision):
+    # C moved by modulus * 2**b, b >= precision, and the quotient by 2**b:
+    # n0 * modulus = C still holds mod 2**precision, and the orbit of n0's
+    # known bits would close; the exact orbit cannot
+    _, c, n0, quo = _built(q, d, x, sigma, precision)
+    modulus = (1 << x) - q**y
+    for b in range(precision, precision + x + 8):
+        moved = (q, d, x, sigma, c + (modulus << b), n0, modulus, precision,
+                 None if quo is None else quo + (1 << b))
+        outcome = _outcome(replay_record, *moved)
+        assert outcome != "accepted", moved
+        if b > x:  # every halving count is that of the true orbit
+            assert outcome[:2] == ("closure", y), moved
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([(3, 1), (5, 1), (3, -1), (7, 3)]), st.data())
-def test_a_flipped_bit_below_the_lift_fails_the_congruence_first(map_, data):
-    # at precision <= x + 1 the record's n0 is lifted to x + 2 bits; each
-    # flipped bit breaks n0 * modulus = C mod 2**precision, which is checked
-    # before the lift, so the lift never meets a residue that disagrees
+def test_a_flipped_bit_fails_the_congruence_first(map_, data):
+    # each flipped bit of n0 breaks n0 * modulus = C mod 2**precision, which
+    # is checked before the orbit at every precision, down to one bit
     q, d = map_
     x = data.draw(st.integers(1, 39))
     y = data.draw(st.integers(1, min(x, 40 - x)))
     sigma = (0, *sorted(data.draw(st.permutations(range(1, x)))[:y - 1]))
-    precision = data.draw(st.integers(1, x + 1))
+    precision = data.draw(st.integers(1, x + 2) | st.just(64))
     g = ghost_cycle(ParityPattern(x, y, sigma), precision, GeneralizedMap(q, d))
     quo = g.verdict.value if isinstance(g.verdict, IntegerCycle) else None
     c, modulus, mask = g.constant, g.modulus, (1 << precision) - 1
