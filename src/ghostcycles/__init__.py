@@ -18,16 +18,12 @@ _SOURCE = {
     **dict.fromkeys(("PadicInt", "invert_unit", "PrecisionError", "ValuationIndeterminate",
                      "NotAUnit"), "padic"),
     **dict.fromkeys(("ParityPattern", "PatternError", "is_admissible", "GeneralizedMap",
-                     "COLLATZ", "enumerate_sigmas", "enumerate_by_length", "length_cells"),
-                    "patterns"),
-    **dict.fromkeys(("IntegerCycle", "Ghost", "GHOST", "GhostCycle", "Inconclusive",
-                     "InadmissiblePattern", "cycle_constant", "modulus", "integrality_test",
-                     "ghost_cycle", "prefix_certificate"), "cycle"),
-    **dict.fromkeys(("CycleTrace", "DynamicsViolation", "t2_step", "iterate_cycle",
-                     "verify_periodicity", "iterate_integer"), "dynamics"),
-    **dict.fromkeys(("LinearSet", "SemilinearSet", "FiberPeriodRecord", "membership",
-                     "dy_membership", "fiber_period_exact", "fiber_period_bruteforce",
-                     "fiber_eventual_period", "nonsemilinearity_witness"), "semilinear"),
+                     "COLLATZ", "length_cells"), "patterns"),
+    **dict.fromkeys(("IntegerCycle", "Ghost", "GHOST", "GhostCycle", "cycle_constant", "modulus",
+                     "integrality_test", "ghost_cycle"), "cycle"),
+    **dict.fromkeys(("CycleTrace", "DynamicsViolation", "t2_step", "iterate_cycle"), "dynamics"),
+    **dict.fromkeys(("FiberPeriodRecord", "fiber_period_exact", "fiber_period_bruteforce",
+                     "nonsemilinearity_witness"), "semilinear"),
     "backend_name": "kernel",
 }
 

@@ -11,13 +11,15 @@ Whether that solution is an *integer* cycle is a separate, exact
 question: it is one precisely when the modulus divides C in Z.  That
 divisibility test is the only sound way to decide integrality; no
 finite window of 2-adic digits can (a tail of zeros may always break
-later).
+later).  The low bits do decide it once 2**k exceeds ceil(C / modulus)
+for an admissible pattern; the tests keep that prefix certificate
+(tests/oracles.py) as an oracle for the exact verdict.
 """
 
 from __future__ import annotations
 
 from .padic import PadicInt, invert_unit
-from .patterns import COLLATZ, Frozen, GeneralizedMap, ParityPattern, _set, is_admissible
+from .patterns import COLLATZ, Frozen, GeneralizedMap, ParityPattern, _set
 
 
 class IntegerCycle(Frozen):
@@ -38,16 +40,6 @@ class Ghost(Frozen):
 GHOST = Ghost()
 
 Verdict = IntegerCycle | Ghost
-
-
-class Inconclusive(Frozen):
-    """Too few low bits of n0 to tell an integer cycle from a ghost."""
-
-    __slots__ = ()
-
-
-class InadmissiblePattern(ValueError):
-    """Operation needs C / modulus > 0, i.e. a pattern admissible for the map."""
 
 
 def cycle_constant(p: ParityPattern, map_: GeneralizedMap = COLLATZ) -> int:
@@ -99,29 +91,3 @@ def ghost_cycle(p: ParityPattern, precision: int, map_: GeneralizedMap = COLLATZ
     n0 = invert_unit(PadicInt(m, precision)) * PadicInt(c, precision)
     assert (n0.residue * m - c) % (1 << precision) == 0
     return GhostCycle(p, c, m, n0, integrality_test(p, map_))
-
-
-def prefix_certificate(p: ParityPattern, k: int,
-                       map_: GeneralizedMap = COLLATZ) -> Verdict | Inconclusive:
-    """Decide integrality from the low k bits of n0 when they suffice.
-
-    For an admissible pattern C and the modulus have the same sign, so
-    any integer solution C / modulus is positive and bounded by
-    B = ceil(C / modulus).  Once 2**k exceeds B, the low k bits pin the
-    only candidate and the answer is conclusive; below that the bits
-    carry no extra information: they satisfy the congruence by
-    construction, and they cannot exceed the bound, since r < 2**k <= B.
-    """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if not is_admissible(p.x, p.y, map_.q, map_.d):
-        raise InadmissiblePattern(
-            f"pattern (x={p.x}, y={p.y}) is inadmissible; the integer bound needs C / modulus > 0"
-        )
-    c = cycle_constant(p, map_)
-    m = modulus(p, map_)
-    bound = -(-c // m)  # ceil(C / m) >= 1
-    r = (invert_unit(PadicInt(m, k)) * PadicInt(c, k)).residue
-    if (1 << k) > bound:
-        return IntegerCycle(r) if r * m == c else GHOST
-    return Inconclusive()

@@ -21,10 +21,10 @@ pins C exactly: Lagarias's correspondence between the rational cycles of
 3x + 1 with denominator m and the integer cycles of 3x + m (Acta Arith.
 56, 1990).  The tests hold it to the unscaled loop on truncated m_k.
 
-The classical single-step integer map (one halving per step) is kept
-separately as a cross-check oracle; mixing the two would break step
-counting, since the cycle length ell = x + y counts halvings one at a
-time.
+The classical single-step integer map (one halving per step) is a
+cross-check oracle of the tests (tests/oracles.py), kept apart: mixing
+the two would break step counting, since the cycle length ell = x + y
+counts halvings one at a time.
 """
 
 from __future__ import annotations
@@ -67,10 +67,6 @@ class CycleTrace(Frozen):
         _set(self, "m", m)
         _set(self, "step_valuations", step_valuations)
         _set(self, "final_precision", final_precision)
-
-    @property
-    def total_halvings(self) -> int:
-        return sum(self.step_valuations)
 
     @property
     def closed(self) -> bool:
@@ -149,8 +145,10 @@ def replay_record(
     After y steps the orbit must close on a_y = C exactly.  For a sigma
     that starts at 0 and modulus = 2**x - q**y, closure means
     C * modulus = d * modulus * S, so C is the pattern's own cycle
-    constant d * S: a record with any other C is rejected.  Any mismatch
-    raises DynamicsViolation.
+    constant d * S: a record with any other C is rejected.  A sigma that
+    does not start at 0 is no pattern's, yet the orbit of a C shifted to
+    match it can close, so such a sigma is rejected last, once the orbit
+    has closed.  Any mismatch raises DynamicsViolation.
     """
     y = len(sigma)
     exact, rem = divmod(c, modulus)
@@ -178,37 +176,5 @@ def replay_record(
         lo = hi
     if a != c:
         raise DynamicsViolation(y, 0, None, kind="closure")
-
-
-def verify_periodicity(p: ParityPattern, precision: int, map_: GeneralizedMap = COLLATZ) -> bool:
-    """True iff the full traversal succeeds with every assertion passing.
-
-    Precision and validation errors propagate: they are caller mistakes,
-    not findings about the orbit.
-    """
-    try:
-        iterate_cycle(p, precision, map_)
-    except DynamicsViolation:
-        return False
-    return True
-
-
-_MAX_STEPS = 10_000  # iterate_integer's bound on the steps of one trajectory
-
-
-def iterate_integer(n: int, map_: GeneralizedMap = COLLATZ) -> list[int]:
-    """Classical integer trajectory, one halving per step.
-
-    Runs until the start value reappears or _MAX_STEPS steps are taken;
-    returns the full value sequence including the start.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    seq = [n]
-    v = n
-    for _ in range(_MAX_STEPS):
-        v = v // 2 if v % 2 == 0 else map_.q * v + map_.d
-        seq.append(v)
-        if v == n:
-            break
-    return seq
+    if sigma[0]:
+        raise DynamicsViolation(0, 0, sigma[0], kind="pattern")

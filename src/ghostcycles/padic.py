@@ -80,14 +80,6 @@ class PadicInt(Frozen):
             )
         return (self.residue & -self.residue).bit_length() - 1
 
-    def digits(self, n: int) -> list[int]:
-        """Low n binary digits, least significant first."""
-        if n > self.precision:
-            raise PrecisionError(
-                f"requested {n} digits but only {self.precision} are known"
-            )
-        return [(self.residue >> i) & 1 for i in range(n)]
-
     def agrees_with(self, other: "PadicInt") -> bool:
         """True iff the residues agree modulo 2**min(precisions)."""
         k = min(self.precision, other.precision)

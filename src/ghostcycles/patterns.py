@@ -10,12 +10,15 @@ positive cycle value must satisfy; `is_admissible` also covers the maps
 qn + d that `GeneralizedMap` names.  Inadmissible patterns stay fully
 representable: their cycle equation still has a unique 2-adic solution,
 and the negative integer cycles they produce are useful cross-checks.
+
+A scan enumerates cells (x, y) with `length_cells` and walks each cell's
+sigmas itself; enumerating `ParityPattern` objects one by one is the
+tests' oracle (tests/oracles.py).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import combinations
 
 # how a Frozen subclass's __init__ sets its own fields
 _set = object.__setattr__
@@ -110,11 +113,6 @@ class ParityPattern(Frozen):
         full = self.sigma + (self.x,)
         return tuple(full[k] - full[k - 1] for k in range(1, self.y + 1))
 
-    def parity_word(self) -> str:
-        """Expected step parities around the cycle: 'O' for an odd step,
-        then 'E' repeated s_k times, for k = 1..y.  Length is ell."""
-        return "".join("O" + "E" * s for s in self.steps())
-
 
 class GeneralizedMap(Frozen):
     """The map n -> (qn + d) / 2^v2(qn+d) on odd n: odd multiplier q >= 3
@@ -145,19 +143,6 @@ def is_admissible(x: int, y: int, q: int = 3, d: int = 1) -> bool:
     return two_x > q_y if d > 0 else two_x < q_y
 
 
-def enumerate_sigmas(y: int, x: int) -> Iterator[ParityPattern]:
-    """All valid patterns for fixed (y, x), in lexicographic sigma order.
-
-    sigma[0] = 0 is forced; the remaining y-1 entries run over strictly
-    increasing choices from {1, ..., x-1}.  Yields binomial(x-1, y-1)
-    patterns (none when y - 1 > x - 1).
-    """
-    if x < 1 or y < 1:
-        raise PatternError("x >= 1" if x < 1 else "y >= 1", f"need x, y >= 1, got x={x}, y={y}")
-    for rest in combinations(range(1, x), y - 1):
-        yield ParityPattern(x, y, (0,) + rest)
-
-
 def length_cells(ell_max: int) -> Iterator[tuple[int, int, int]]:
     """(ell, y, x) triples covering all patterns with x + y <= ell_max, in
     canonical scan order: by ell, then y.  y <= x structurally, so y only
@@ -167,16 +152,3 @@ def length_cells(ell_max: int) -> Iterator[tuple[int, int, int]]:
     for ell in range(2, ell_max + 1):
         for y in range(1, ell // 2 + 1):
             yield ell, y, ell - y
-
-
-def enumerate_by_length(ell_max: int) -> Iterator[tuple[ParityPattern, bool]]:
-    """Every pattern with x + y <= ell_max, tagged with its admissibility.
-
-    Deterministic order: by ell, then y, then lexicographic sigma.
-    ell_max = 2 is accepted and yields the single (structurally valid,
-    inadmissible) pattern (1, 1, (0,)).
-    """
-    for _ell, y, x in length_cells(ell_max):
-        admissible = is_admissible(x, y)
-        for p in enumerate_sigmas(y, x):
-            yield p, admissible

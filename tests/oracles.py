@@ -1,0 +1,141 @@
+"""Second implementations that the tests hold the package to.
+
+Each function here answers a question that some path of the package
+also answers, by an independent route, and no command runs it: the
+pointwise definition of D_y, integrality from the low bits of n0, the
+classical one-halving-per-step map, enumeration of patterns through
+`ParityPattern` itself, and a pattern's parity word.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterator
+from itertools import combinations
+
+from ghostcycles.cycle import GHOST, IntegerCycle, Verdict, cycle_constant, modulus
+from ghostcycles.dynamics import DynamicsViolation, iterate_cycle
+from ghostcycles.padic import PadicInt, invert_unit
+from ghostcycles.patterns import (
+    COLLATZ,
+    Frozen,
+    GeneralizedMap,
+    ParityPattern,
+    PatternError,
+    is_admissible,
+    length_cells,
+)
+
+
+def dy_membership(y: int, x: int, c: int) -> bool:
+    """All three defining clauses of D_y, evaluated exactly: admissibility
+    of (x, y), positivity of C, and divisibility by 2**x - 3**y."""
+    if y < 1:
+        raise ValueError(f"need y >= 1, got {y}")
+    if x < 0 or c < 1:
+        return False
+    # admissibility as the sign of the gap it needs anyway, inline rather
+    # than through the package's _gap
+    gap = (1 << x) - 3 ** y
+    return gap > 0 and c % gap == 0
+
+
+class Inconclusive(Frozen):
+    """Too few low bits of n0 to tell an integer cycle from a ghost."""
+
+    __slots__ = ()
+
+
+class InadmissiblePattern(ValueError):
+    """Operation needs C / modulus > 0, i.e. a pattern admissible for the map."""
+
+
+def prefix_certificate(p: ParityPattern, k: int,
+                       map_: GeneralizedMap = COLLATZ) -> Verdict | Inconclusive:
+    """Decide integrality from the low k bits of n0 when they suffice.
+
+    For an admissible pattern C and the modulus have the same sign, so
+    any integer solution C / modulus is positive and bounded by
+    B = ceil(C / modulus).  Once 2**k exceeds B, the low k bits pin the
+    only candidate and the answer is conclusive; below that the bits
+    carry no extra information: they satisfy the congruence by
+    construction, and they cannot exceed the bound, since r < 2**k <= B.
+    """
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    if not is_admissible(p.x, p.y, map_.q, map_.d):
+        raise InadmissiblePattern(
+            f"pattern (x={p.x}, y={p.y}) is inadmissible; the integer bound needs C / modulus > 0"
+        )
+    c = cycle_constant(p, map_)
+    m = modulus(p, map_)
+    bound = -(-c // m)  # ceil(C / m) >= 1
+    r = (invert_unit(PadicInt(m, k)) * PadicInt(c, k)).residue
+    if (1 << k) > bound:
+        return IntegerCycle(r) if r * m == c else GHOST
+    return Inconclusive()
+
+
+def verify_periodicity(p: ParityPattern, precision: int, map_: GeneralizedMap = COLLATZ) -> bool:
+    """True iff the full traversal succeeds with every assertion passing.
+
+    Precision and validation errors propagate: they are caller mistakes,
+    not findings about the orbit.
+    """
+    try:
+        iterate_cycle(p, precision, map_)
+    except DynamicsViolation:
+        return False
+    return True
+
+
+_MAX_STEPS = 10_000  # iterate_integer's bound on the steps of one trajectory
+
+
+def iterate_integer(n: int, map_: GeneralizedMap = COLLATZ) -> list[int]:
+    """Classical integer trajectory, one halving per step.
+
+    Runs until the start value reappears or _MAX_STEPS steps are taken;
+    returns the full value sequence including the start.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    seq = [n]
+    v = n
+    for _ in range(_MAX_STEPS):
+        v = v // 2 if v % 2 == 0 else map_.q * v + map_.d
+        seq.append(v)
+        if v == n:
+            break
+    return seq
+
+
+def enumerate_sigmas(y: int, x: int) -> Iterator[ParityPattern]:
+    """All valid patterns for fixed (y, x), in lexicographic sigma order.
+
+    sigma[0] = 0 is forced; the remaining y-1 entries run over strictly
+    increasing choices from {1, ..., x-1}.  Yields binomial(x-1, y-1)
+    patterns (none when y - 1 > x - 1).
+    """
+    if x < 1 or y < 1:
+        raise PatternError("x >= 1" if x < 1 else "y >= 1", f"need x, y >= 1, got x={x}, y={y}")
+    for rest in combinations(range(1, x), y - 1):
+        yield ParityPattern(x, y, (0,) + rest)
+
+
+def enumerate_by_length(ell_max: int) -> Iterator[tuple[ParityPattern, bool]]:
+    """Every pattern with x + y <= ell_max, tagged with its admissibility.
+
+    Deterministic order: by ell, then y, then lexicographic sigma.
+    ell_max = 2 is accepted and yields the single (structurally valid,
+    inadmissible) pattern (1, 1, (0,)).
+    """
+    for _ell, y, x in length_cells(ell_max):
+        admissible = is_admissible(x, y)
+        for p in enumerate_sigmas(y, x):
+            yield p, admissible
+
+
+def parity_word(p: ParityPattern) -> str:
+    """Expected step parities around p's cycle: 'O' for an odd step, then
+    'E' repeated s_k times, for k = 1..y.  Length is ell."""
+    return "".join("O" + "E" * s for s in p.steps())

@@ -15,17 +15,17 @@ from ghostcycles.cycle import (
     integrality_test,
     modulus,
 )
-from ghostcycles.dynamics import iterate_cycle, iterate_integer, verify_periodicity
+from ghostcycles.dynamics import iterate_cycle
 from ghostcycles.padic import PadicInt, invert_unit
-from ghostcycles.patterns import GeneralizedMap, ParityPattern, enumerate_by_length, length_cells
+from ghostcycles.patterns import GeneralizedMap, ParityPattern, length_cells
 from ghostcycles.semilinear import (
-    fiber_eventual_period,
     fiber_period_bruteforce,
     fiber_period_exact,
-    lcm_period_bound,
     nonsemilinearity_witness,
-    random_semilinear_set,
 )
+
+from oracles import enumerate_by_length, iterate_integer, verify_periodicity
+from semilinear_sets import fiber_eventual_period, lcm_period_bound, random_semilinear_set
 
 
 def report(name, elapsed, budget):
@@ -90,7 +90,7 @@ def test_criterion_4_forced_valuations_1000_random():
         mid = rng.sample(range(1, x), y - 1) if y > 1 else []
         p = ParityPattern(x, y, (0,) + tuple(sorted(mid)))
         trace = iterate_cycle(p, p.x + 32)  # raises on any dynamics violation
-        assert trace.total_halvings == p.x
+        assert sum(trace.step_valuations) == p.x
         assert trace.step_valuations == p.steps()
         checked += 1
     report("4 forced-valuations-1000", time.perf_counter() - start, 10)

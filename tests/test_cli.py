@@ -21,11 +21,12 @@ from ghostcycles.patterns import (
     COLLATZ,
     GeneralizedMap,
     ParityPattern,
-    enumerate_by_length,
     is_admissible,
     length_cells,
 )
 from ghostcycles.records import ghost_record
+
+from oracles import enumerate_by_length
 
 
 def run(argv, capsys):

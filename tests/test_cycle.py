@@ -6,22 +6,15 @@ from hypothesis import given, strategies as st
 
 from ghostcycles.cycle import (
     GHOST,
-    InadmissiblePattern,
-    Inconclusive,
     IntegerCycle,
     cycle_constant,
     ghost_cycle,
     integrality_test,
     modulus,
-    prefix_certificate,
 )
-from ghostcycles.patterns import (
-    COLLATZ,
-    GeneralizedMap,
-    ParityPattern,
-    enumerate_by_length,
-    is_admissible,
-)
+from ghostcycles.patterns import COLLATZ, GeneralizedMap, ParityPattern, is_admissible
+
+from oracles import InadmissiblePattern, Inconclusive, enumerate_by_length, prefix_certificate
 
 
 def random_pattern(draw, max_x=24):

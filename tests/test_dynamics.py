@@ -9,22 +9,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ghostcycles.cycle import IntegerCycle, ghost_cycle, integrality_test
-from ghostcycles.dynamics import (
-    Branch,
-    DynamicsViolation,
-    iterate_cycle,
-    iterate_integer,
-    replay_record,
-    t2_step,
-    verify_periodicity,
-)
+from ghostcycles.dynamics import Branch, DynamicsViolation, iterate_cycle, replay_record, t2_step
 from ghostcycles.padic import (
     PadicInt,
     PrecisionError,
     ValuationIndeterminate,
     _inverse_mod_pow2,
 )
-from ghostcycles.patterns import GeneralizedMap, ParityPattern, enumerate_by_length, is_admissible
+from ghostcycles.patterns import GeneralizedMap, ParityPattern, is_admissible
+
+from oracles import enumerate_by_length, iterate_integer, parity_word, verify_periodicity
 
 
 def test_t2_step_examples():
@@ -68,7 +62,7 @@ def test_iterate_cycle_needs_headroom():
 def test_trace_invariants_on_examples():
     for p in [ParityPattern(2, 1, (0,)), ParityPattern(4, 2, (0, 1)), ParityPattern(5, 2, (0, 3))]:
         t = iterate_cycle(p, 64)
-        assert t.total_halvings == p.x
+        assert sum(t.step_valuations) == p.x
         assert len(t.m) == p.y + 1
         assert all(m.is_unit for m in t.m)
         assert t.closed
@@ -220,6 +214,8 @@ def _replay_oracle(q, d, x, sigma, c, n0, modulus, precision, quotient):
         width -= e
     if (m - n0) & ((1 << width) - 1):
         raise DynamicsViolation(y, 0, None, kind="closure")
+    if sigma[0]:
+        raise DynamicsViolation(0, 0, sigma[0], kind="pattern")
 
 
 def _outcome(replay, *record):
@@ -381,6 +377,15 @@ def test_replay_record_starts_the_orbit_at_sigma_0():
     assert _outcome(replay_record, *record)[:3] == ("valuation", 0, 2)
 
 
+def test_replay_record_rejects_a_sigma_that_does_not_start_at_0():
+    # the cycle through 1, shifted by one bit: sigma (1,) with x = 3 sheds
+    # two bits from 3 * 5 + 5 and closes on C = 5, so every check but the
+    # last passes; no pattern has sigma_0 = 1
+    record = (3, 1, 3, (1,), 5, 1, 5, 64, 1)
+    assert _outcome(replay_record, *record) == ("pattern", 0, 0, 1)
+    assert _outcome(_replay_oracle, *record) == ("pattern", 0, 0, 1)
+
+
 def test_verify_periodicity_examples():
     assert verify_periodicity(ParityPattern(2, 1, (0,)), 16)
     assert verify_periodicity(ParityPattern(4, 2, (0, 1)), 64)
@@ -440,7 +445,7 @@ def test_parity_word_tracks_branches():
         assert branch is Branch.ODD
         word += "O" + "E" * s
     assert len(word) == p.ell
-    assert word == p.parity_word()
+    assert word == parity_word(p)
 
 
 def test_iterate_integer_examples():
@@ -489,7 +494,7 @@ def _assert_integer_verdicts_rejoin(q, d, found, values):
                             word += "E"
                             n //= 2
                     assert n == v.value
-                    assert word == p.parity_word()
+                    assert word == parity_word(p)
                     minimal = iterate_integer(v.value, map_=m)
                     assert minimal[-1] == v.value
                     assert p.ell % (len(minimal) - 1) == 0

@@ -6,8 +6,10 @@ from itertools import combinations
 import pytest
 
 from ghostcycles.cycle import GHOST, IntegerCycle, cycle_constant, ghost_cycle, integrality_test
-from ghostcycles.dynamics import iterate_cycle, iterate_integer, verify_periodicity
+from ghostcycles.dynamics import iterate_cycle
 from ghostcycles.patterns import COLLATZ, GeneralizedMap, ParityPattern, is_admissible
+
+from oracles import iterate_integer, verify_periodicity
 
 FIVE = GeneralizedMap(5, 1)
 

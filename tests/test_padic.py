@@ -50,16 +50,14 @@ def test_binary_ops_truncate_to_min_precision(a, b, j, k):
 @given(residues, precisions)
 def test_make_then_digits_is_twos_complement(a, k):
     n = min(k, 64)
-    got = PadicInt(a, k).digits(n)
-    assert got == [(a >> i) & 1 for i in range(n)]
+    residue = PadicInt(a, k).residue
+    assert [(residue >> i) & 1 for i in range(n)] == [(a >> i) & 1 for i in range(n)]
 
 
 def test_digits_examples():
-    assert PadicInt(5, 4).digits(4) == [1, 0, 1, 0]
-    assert PadicInt(-1, 4).digits(4) == [1, 1, 1, 1]
-    assert PadicInt(0, 4).digits(4) == [0, 0, 0, 0]
-    with pytest.raises(PrecisionError):
-        PadicInt(5, 4).digits(5)
+    assert PadicInt(5, 4).residue == 0b0101
+    assert PadicInt(-1, 4).residue == 0b1111
+    assert PadicInt(0, 4).residue == 0
 
 
 def test_v2_examples():
