@@ -30,7 +30,7 @@ from contextlib import nullcontext
 from itertools import chain
 from math import comb
 
-from .cycle import ghost_cycle
+from .cycle import IntegerCycle, ghost_cycle
 from .dynamics import DynamicsViolation, iterate_cycle, replay_record
 from .padic import _inverse_mod_pow2
 from .patterns import (
@@ -42,8 +42,8 @@ from .patterns import (
     length_cells,
 )
 
-# A command imports what only it runs inside itself, so a scan loads
-# neither `records` nor `semilinear`.  The semilinear functions are served
+# A command imports what only it runs inside itself, so a scan does not
+# load `semilinear`.  The semilinear functions are served
 # by __getattr__ and called as attributes of this module (`_this`), so that
 # a name set on the module, such as the benchmark's traced wrapper or a
 # test's stand-in, is the one that runs.
@@ -123,20 +123,41 @@ def _emit(lines, out_path: str | None) -> None:
             fh.write("\n")
 
 
+# --------------------------------------------------------------- records
+
+
+def _record_format(x, y, map_, modulus, precision, admissible):
+    """The fixed text of every JSON record of the cell (x, y) under `map_`.
+
+    A record is `head`, its sigma as comma-separated entries, `close`,
+    `,"C":"`, C, `n0_at`, n0's residue, then `ghost`, or `integer`, the
+    integer value and `after`.  Every field is an int or a digit string,
+    so nothing needs escaping.  `head` up to `close` is the pattern object,
+    which `ghost --format json` also opens its trace with.
+    """
+    head = f'{{"pattern":{{"x":{x},"y":{y},"sigma":['
+    close = f'],"ell":{x + y},"admissible":{"true" if admissible else "false"}}}'
+    n0_at = f'","modulus":"{modulus}","n0":{{"residue":"'
+    verdict = f'","precision":{precision}}},"verdict":'
+    tail = f',"q":{map_.q},"d":{map_.d}}}' if map_ != COLLATZ else "}"
+    return (head, close, n0_at, f'{verdict}"ghost"{tail}',
+            f'{verdict}"integer-cycle","integer_value":"', f'"{tail}')
+
+
 # ---------------------------------------------------------------- ghost
 
 
-def _render_ghost_text(g, t, rec) -> list[str]:
+def _render_ghost_text(g, t, admissible, map_) -> list[str]:
     p = g.pattern
     lines = []
     head = f"pattern x={p.x} y={p.y} sigma={','.join(map(str, p.sigma))} ell={p.ell}"
-    if "q" in rec:
-        head += f" map={rec['q']}n{rec['d']:+d}"
-    lines.append(head + (" admissible" if rec["pattern"]["admissible"] else " inadmissible"))
+    if map_ != COLLATZ:
+        head += f" map={map_.q}n{map_.d:+d}"
+    lines.append(head + (" admissible" if admissible else " inadmissible"))
     lines.append(f"C = {g.constant}")
     lines.append(f"modulus = {g.modulus}")
-    if rec["verdict"] == "integer-cycle":
-        lines.append(f"verdict: integer-cycle n = {rec['integer_value']}")
+    if isinstance(g.verdict, IntegerCycle):
+        lines.append(f"verdict: integer-cycle n = {g.verdict.value}")
     else:
         lines.append("verdict: ghost")
     low = p.x + 1
@@ -150,19 +171,26 @@ def _render_ghost_text(g, t, rec) -> list[str]:
 
 
 def cmd_ghost(args) -> int:
-    import json
-
-    from .records import ghost_record, trace_record
-
+    map_, precision = args.map, args.precision
     p = ParityPattern(args.x, args.y, _parse_sigma(args.sigma))
-    g = ghost_cycle(p, args.precision, args.map)
-    t = iterate_cycle(p, args.precision, args.map)
-    rec = ghost_record(g, args.map)
-    if args.format == "json":
-        payload = {"ghost": rec, "trace": trace_record(t, args.map)}
-        _emit([json.dumps(payload, separators=(",", ":"))], args.out)
-    else:
-        _emit(_render_ghost_text(g, t, rec), args.out)
+    t = iterate_cycle(p, precision, map_)  # rejects precision <= x + 1 before it solves
+    g = ghost_cycle(p, precision, map_)
+    admissible = is_admissible(p.x, p.y, map_.q, map_.d)
+    if args.format == "text":
+        _emit(_render_ghost_text(g, t, admissible, map_), args.out)
+        return 0
+    head, close, n0_at, ghost, integer, after = _record_format(
+        p.x, p.y, map_, g.modulus, precision, admissible)
+    pattern = f"{head}{','.join(map(str, p.sigma))}{close}"
+    verdict = (f"{integer}{g.verdict.value}{after}" if isinstance(g.verdict, IntegerCycle)
+               else ghost)
+    rec = f'{pattern},"C":"{g.constant}{n0_at}{g.n0.residue}{verdict}'
+    ms = ",".join(f'{{"residue":"{m.residue}","precision":{m.precision}}}' for m in t.m)
+    valuations = ",".join(map(str, t.step_valuations))
+    trace = (f'{pattern},"m":[{ms}],"valuations":[{valuations}],'
+             f'"closed":{"true" if t.closed else "false"},'
+             f'"final_precision":{t.final_precision}}}')
+    _emit([f'{{"ghost":{rec},"trace":{trace}}}'], args.out)
     return 0
 
 
@@ -197,12 +225,12 @@ def _cell_worker(x, y, map_, precision, verify, hits):
     integral records (the comprehension leaves None) and the sampled
     records, each line once.
 
-    Every field is an int or a digit string, so the fixed template writes
-    the bytes of json.dumps(ghost_record(g, map_), separators=(",", ":"))
-    with nothing to escape.  `verify` holds sorted cell-local record
-    indices; each of those records is replayed from the very sigma, C, n0
-    and quotient that its written line is built from.  Each integral
-    record appends (x, y, sigma, quotient, admissible) to `hits`.
+    Each line is built from the fixed text that `_record_format` returns,
+    the package's one JSON record format.  `verify` holds sorted
+    cell-local record indices; each of those records is replayed from the
+    very sigma, C, n0 and quotient that its written line is built from.
+    Each integral record appends (x, y, sigma, quotient, admissible) to
+    `hits`.
 
     A generator: it yields the lines as blocks of at least _BLOCK_LINES
     lines (the last may be shorter), each as soon as it fills, so a scan
@@ -213,13 +241,9 @@ def _cell_worker(x, y, map_, precision, verify, hits):
     modulus = (1 << x) - q**y
     inv = _inverse_mod_pow2(modulus & mask, precision)
     admissible = is_admissible(x, y, q, d)
-    head = f'{{"pattern":{{"x":{x},"y":{y},"sigma":['
-    mid = f'],"ell":{x + y},"admissible":{"true" if admissible else "false"}}},"C":"'
-    n0_at = f'","modulus":"{modulus}","n0":{{"residue":"'
-    verdict = f'","precision":{precision}}},"verdict":'
-    tail = f',"q":{q},"d":{d}}}' if map_ != COLLATZ else "}"
-    ghost = f'{verdict}"ghost"{tail}'
-    integer = f'{verdict}"integer-cycle","integer_value":"'
+    head, close, n0_at, ghost, integer, after = _record_format(
+        x, y, map_, modulus, precision, admissible)
+    mid = close + ',"C":"'
     # level k puts d * q^(y-1-k) << sigma_k into C: per shift, its text,
     # that term and the term's n0 residue; the last level (q^0) closes
     # the sigma list
@@ -273,7 +297,7 @@ def _cell_worker(x, y, map_, precision, verify, hits):
                 chunk[i] = f"{pre}{text}{c}{n0_at}{n0}{ghost}"
             else:
                 quo = c // modulus
-                chunk[i] = f"{pre}{text}{c}{n0_at}{n0}{integer}{quo}\"{tail}"
+                chunk[i] = f"{pre}{text}{c}{n0_at}{n0}{integer}{quo}{after}"
                 hits.append((x, y, prefix + entries, quo, admissible))
                 integral = chunk.index(None) if None in chunk else count
             if i == nxt - done:
@@ -385,12 +409,10 @@ def cmd_fibers(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    import json
-
     rec = _this.nonsemilinearity_witness(args.y, args.bound)
     if args.format == "json":
-        payload = {"y": rec.y, "M": str(args.bound), "x": rec.x, "period": str(rec.period)}
-        _emit([json.dumps(payload, separators=(",", ":"))], args.out)
+        _emit([f'{{"y":{rec.y},"M":"{args.bound}","x":{rec.x},"period":"{rec.period}"}}'],
+              args.out)
     else:
         _emit([f"y={rec.y} M={args.bound} -> x={rec.x} period={rec.period}"], args.out)
     return 0

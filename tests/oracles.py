@@ -4,16 +4,25 @@ Each function here answers a question that some path of the package
 also answers, by an independent route, and no command runs it: the
 pointwise definition of D_y, integrality from the low bits of n0, the
 classical one-halving-per-step map, enumeration of patterns through
-`ParityPattern` itself, and a pattern's parity word.
+`ParityPattern` itself, a pattern's parity word, and the JSON records
+of `scan`, `general` and `ghost --format json` as dicts.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import combinations
+from typing import Any
 
-from ghostcycles.cycle import GHOST, IntegerCycle, Verdict, cycle_constant, modulus
-from ghostcycles.dynamics import DynamicsViolation, iterate_cycle
+from ghostcycles.cycle import (
+    GHOST,
+    GhostCycle,
+    IntegerCycle,
+    Verdict,
+    cycle_constant,
+    modulus,
+)
+from ghostcycles.dynamics import CycleTrace, DynamicsViolation, iterate_cycle
 from ghostcycles.padic import PadicInt, invert_unit
 from ghostcycles.patterns import (
     COLLATZ,
@@ -139,3 +148,54 @@ def parity_word(p: ParityPattern) -> str:
     """Expected step parities around p's cycle: 'O' for an odd step, then
     'E' repeated s_k times, for k = 1..y.  Length is ell."""
     return "".join("O" + "E" * s for s in p.steps())
+
+
+# The records as dicts.  json.dumps of them, with separators=(",", ":"),
+# gives the bytes the CLI writes: a scan line is ghost_record(g, map_), and
+# `ghost --format json` writes {"ghost": ghost_record(g, map_), "trace":
+# trace_record(t, map_)}.  Big integers are decimal strings, so any JSON
+# reader round-trips them; small structural fields stay native.
+
+
+def padic_record(a: PadicInt) -> dict[str, Any]:
+    return {"residue": str(a.residue), "precision": a.precision}
+
+
+def pattern_record(p: ParityPattern, map_: GeneralizedMap = COLLATZ) -> dict[str, Any]:
+    return {
+        "x": p.x,
+        "y": p.y,
+        "sigma": list(p.sigma),
+        "ell": p.ell,
+        "admissible": is_admissible(p.x, p.y, map_.q, map_.d),
+    }
+
+
+def ghost_record(g: GhostCycle, map_: GeneralizedMap = COLLATZ) -> dict[str, Any]:
+    """The scan's record of `g`, solved under `map_`; "q" and "d" are
+    written for any map but 3n+1."""
+    rec: dict[str, Any] = {
+        "pattern": pattern_record(g.pattern, map_),
+        "C": str(g.constant),
+        "modulus": str(g.modulus),
+        "n0": padic_record(g.n0),
+    }
+    if isinstance(g.verdict, IntegerCycle):
+        rec["verdict"] = "integer-cycle"
+        rec["integer_value"] = str(g.verdict.value)
+    else:
+        rec["verdict"] = "ghost"
+    if map_ != COLLATZ:
+        rec["q"] = map_.q
+        rec["d"] = map_.d
+    return rec
+
+
+def trace_record(t: CycleTrace, map_: GeneralizedMap = COLLATZ) -> dict[str, Any]:
+    return {
+        "pattern": pattern_record(t.pattern, map_),
+        "m": [padic_record(m) for m in t.m],
+        "valuations": list(t.step_valuations),
+        "closed": t.closed,
+        "final_precision": t.final_precision,
+    }

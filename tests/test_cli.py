@@ -8,14 +8,17 @@ import random
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ghostcycles import _kernel_py, cli
+from ghostcycles import _kernel_py, cli, dynamics
 from ghostcycles.cli import main
 from ghostcycles.cycle import ghost_cycle
+from ghostcycles.dynamics import iterate_cycle
 from ghostcycles.padic import _inverse_mod_pow2
 from ghostcycles.patterns import (
     COLLATZ,
@@ -24,9 +27,9 @@ from ghostcycles.patterns import (
     is_admissible,
     length_cells,
 )
-from ghostcycles.records import ghost_record
+from ghostcycles.semilinear import nonsemilinearity_witness
 
-from oracles import enumerate_by_length
+from oracles import enumerate_by_length, ghost_record, trace_record
 
 
 def run(argv, capsys):
@@ -64,6 +67,74 @@ def test_ghost_json_matches_library_record(capsys):
     assert payload["trace"]["closed"] is True
     int(payload["ghost"]["C"])  # big ints are decimal strings
     int(payload["ghost"]["n0"]["residue"])
+
+
+def _run_quiet(argv):
+    """main(argv) in-process as (exit code, stdout, stderr), for a
+    hypothesis test, which cannot take the function-scoped capsys."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def ghost_cases(draw):
+    """(q, d, x, sigma, precision): a pattern with x <= 14 under one of the
+    four test maps or a drawn map with odd q <= 9, at a precision from
+    x + 2 to x + 70."""
+    q, d = draw(st.sampled_from([(3, 1), (5, 1), (3, -1), (7, 3)])
+                | st.tuples(st.sampled_from([3, 5, 7, 9]),
+                            st.integers(-15, 15).filter(lambda v: v % 2)))
+    x = draw(st.integers(1, 14))
+    y = draw(st.integers(1, x))
+    sigma = (0, *sorted(draw(st.permutations(range(1, x)))[:y - 1]))
+    return q, d, x, sigma, draw(st.integers(x + 2, x + 70))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ghost_cases())
+@example((5, 1, 7, (0, 1, 2), 64))  # the 5n+1 integer cycle through 13
+@example((5, 1, 4, (0, 1), 20))  # inadmissible: 2^4 < 5^2
+@example((3, 1, 4, (0, 1), 64))  # the default map, written without "q" and "d"
+def test_ghost_json_is_json_dumps_of_the_oracle_records(case):
+    q, d, x, sigma, precision = case
+    m, p = GeneralizedMap(q, d), ParityPattern(x, len(sigma), sigma)
+    flags = [] if m == COLLATZ else ["--map", f"{q},{d}"]
+    code, out, err = _run_quiet(["ghost", *flags, "--x", str(x), "--y", str(len(sigma)),
+                                 "--sigma", ",".join(map(str, sigma)),
+                                 "--precision", str(precision), "--format", "json"])
+    assert code == 0, err
+    payload = {"ghost": ghost_record(ghost_cycle(p, precision, m), m),
+               "trace": trace_record(iterate_cycle(p, precision, m), m)}
+    assert out == json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 10**30))
+@example(2, 100)
+def test_witness_json_is_json_dumps_of_its_dict(y, bound):
+    code, out, err = _run_quiet(["witness", "--y", str(y), "--bound", str(bound),
+                                 "--format", "json"])
+    assert code == 0, err
+    rec = nonsemilinearity_witness(y, bound)
+    payload = {"y": y, "M": str(bound), "x": rec.x, "period": str(rec.period)}
+    assert out == json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def test_ghost_rejects_a_precision_too_small_before_it_solves(capsys, monkeypatch):
+    # with both solvers gone any solve fails; solving x = 99999999999 first
+    # ran out of memory and exited 3
+    monkeypatch.setattr(cli, "ghost_cycle", None)
+    monkeypatch.setattr(dynamics, "ghost_cycle", None)
+    code, out, err = run(["ghost", "--x", "99999999999", "--y", "1", "--sigma", "0",
+                          "--precision", "2"], capsys)
+    assert code == 1
+    assert "precision 2 too small" in err
+    assert out == ""
 
 
 def test_bad_sigma_is_a_usage_error_naming_the_clause(capsys):
@@ -798,13 +869,16 @@ def test_console_script_usage_error_code():
     "argv",
     [["scan", "--ell-max", "2"],
      ["fibers", "--y", "2", "--x-min", "4", "--x-max", "4", "--scan-bound", "64"],
-     ["general", "--map", "5,1", "--ell-max", "2"]],
-    ids=["scan", "fibers", "general"],
+     ["general", "--map", "5,1", "--ell-max", "2"],
+     ["ghost", "--map", "5,1", "--x", "7", "--y", "3", "--sigma", "0,1,2", "--format", "json"],
+     ["witness", "--y", "2", "--bound", "100", "--format", "json"]],
+    ids=["scan", "fibers", "general", "ghost-json", "witness-json"],
 )
 def test_cli_start_loads_no_pool_or_json_module(argv):
     # -X importtime lists on stderr every module the run imports.  No start
-    # needs a pool, json, or dataclasses (with inspect), and a scan loads
-    # neither the record builders nor the semilinear module.
+    # needs a pool, json, or dataclasses (with inspect): the package writes
+    # JSON from fixed templates.  Only fibers and witness load the
+    # semilinear module.
     proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "ghostcycles", *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -814,8 +888,8 @@ def test_cli_start_loads_no_pool_or_json_module(argv):
     assert {name for name in loaded
             if name.split(".")[0] in ("concurrent", "multiprocessing", "json",
                                       "dataclasses", "inspect")} == set()
-    if argv[0] != "fibers":
-        assert {"ghostcycles.records", "ghostcycles.semilinear"} & loaded == set()
+    if argv[0] not in ("fibers", "witness"):
+        assert "ghostcycles.semilinear" not in loaded
 
 
 def _scan_peak_rss_kb(ell_max):

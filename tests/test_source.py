@@ -104,7 +104,8 @@ def _defined_in(path):
 
 def test_no_oracle_is_also_defined_in_the_package():
     oracles = _defined_in(TESTS / "oracles.py") | _defined_in(TESTS / "semilinear_sets.py")
-    assert {"dy_membership", "membership", "iterate_integer", "parity_word"} <= oracles
+    assert {"dy_membership", "membership", "iterate_integer", "parity_word",
+            "ghost_record", "trace_record"} <= oracles
     modules = [ghostcycles] + [importlib.import_module(f"ghostcycles.{info.name}")
                                for info in pkgutil.iter_modules(ghostcycles.__path__)
                                if info.name != "__main__"]
