@@ -30,7 +30,7 @@ from contextlib import nullcontext
 from itertools import chain
 from math import comb
 
-from .cycle import IntegerCycle, ghost_cycle
+from .cycle import IntegerCycle
 from .dynamics import DynamicsViolation, iterate_cycle, replay_record
 from .padic import _inverse_mod_pow2
 from .patterns import (
@@ -174,7 +174,7 @@ def cmd_ghost(args) -> int:
     map_, precision = args.map, args.precision
     p = ParityPattern(args.x, args.y, _parse_sigma(args.sigma))
     t = iterate_cycle(p, precision, map_)  # rejects precision <= x + 1 before it solves
-    g = ghost_cycle(p, precision, map_)
+    g = t.ghost
     admissible = is_admissible(p.x, p.y, map_.q, map_.d)
     if args.format == "text":
         _emit(_render_ghost_text(g, t, admissible, map_), args.out)

@@ -3,23 +3,27 @@
 The accelerated map of qn + d (3n + 1 unless a `GeneralizedMap` is given)
 on nonzero 2-adic integers:
 
-    T2(n) = n / 2                        if v2(n) > 0
-    T2(n) = (qn + d) / 2**v2(qn + d)     if v2(n) = 0
+    T2(n) = n / 2                if n is even
+    T2(n) = (qn + d) / 2**e      if n is odd, 2**e the largest power of 2
+                                 dividing qn + d
 
 Every odd step therefore divides out all factors of 2 at once.  Along a
 cycle solution the halving counts are forced: starting from n0, the k-th
 odd step must shed exactly s_k = sigma[k] - sigma[k-1] bits, every
 intermediate value is a unit, and after y odd steps the orbit closes.
-`iterate_cycle` replays this and treats any mismatch as a hard error:
-the structure guarantees it cannot happen, so an occurrence means an
-implementation bug, never a data condition.  `replay_record` makes the
-same checks on a scan record's own C, n0 and verdict, so that a scan
-verifies what it writes rather than a value it re-solves.  The modulus
-m = 2**x - q**y is odd, so it replays the orbit of the rational n0 = C/m
-exactly on the numerators a_k = m * n_k, which needs no precision and
-pins C exactly: Lagarias's correspondence between the rational cycles of
-3x + 1 with denominator m and the integer cycles of 3x + m (Acta Arith.
-56, 1990).  The tests hold it to the unscaled loop on truncated m_k.
+One exact loop, `replay_record`, checks this, and any mismatch is a hard
+error: the structure guarantees it cannot happen, so an occurrence means
+an implementation bug, never a data condition.  The modulus
+m = 2**x - q**y is odd, so the loop replays the orbit of the rational
+n0 = C/m exactly on the numerators a_k = m * n_k, which needs no
+precision and pins C exactly: Lagarias's correspondence between the
+rational cycles of 3x + 1 with denominator m and the integer cycles of
+3x + m (Acta Arith. 56, 1990).  The loop serves both callers.  A scan
+replays each sampled record's own C, n0 and verdict, so that it verifies
+what it writes rather than a value it re-solves.  `iterate_cycle`, which
+`ghost` runs, replays the record it has just solved and reads each unit
+m_k off a_k.  The tests hold both to the step-by-step traversal on
+truncated residues (tests/oracles.py).
 
 The classical single-step integer map (one halving per step) is a
 cross-check oracle of the tests (tests/oracles.py), kept apart: mixing
@@ -29,16 +33,9 @@ counts halvings one at a time.
 
 from __future__ import annotations
 
-from enum import Enum
-
-from .cycle import ghost_cycle
-from .padic import PadicInt, PrecisionError, ValuationIndeterminate
+from .cycle import GhostCycle, IntegerCycle, ghost_cycle
+from .padic import PadicInt, PrecisionError, _inverse_mod_pow2
 from .patterns import COLLATZ, Frozen, GeneralizedMap, ParityPattern, _set
-
-
-class Branch(Enum):
-    EVEN = "even"
-    ODD = "odd"
 
 
 class DynamicsViolation(RuntimeError):
@@ -56,83 +53,59 @@ class DynamicsViolation(RuntimeError):
 
 
 class CycleTrace(Frozen):
-    """The unit sequence m_0..m_y of one full traversal, with the halving
-    count observed at each odd step and the precision left at the end."""
+    """One full traversal of a solved cycle: its `GhostCycle`, the unit
+    sequence m_0..m_y, the halving count of each odd step and the
+    precision left at the end."""
 
-    __slots__ = ("pattern", "m", "step_valuations", "final_precision")
+    __slots__ = ("ghost", "m", "step_valuations", "final_precision")
 
-    def __init__(self, pattern: ParityPattern, m: tuple[PadicInt, ...],
+    def __init__(self, ghost: GhostCycle, m: tuple[PadicInt, ...],
                  step_valuations: tuple[int, ...], final_precision: int) -> None:
-        _set(self, "pattern", pattern)
+        _set(self, "ghost", ghost)
         _set(self, "m", m)
         _set(self, "step_valuations", step_valuations)
         _set(self, "final_precision", final_precision)
+
+    @property
+    def pattern(self) -> ParityPattern:
+        return self.ghost.pattern
 
     @property
     def closed(self) -> bool:
         return self.m[-1].agrees_with(self.m[0])
 
 
-def t2_step(n: PadicInt, map_: GeneralizedMap = COLLATZ) -> tuple[PadicInt, Branch, int]:
-    """One application of the accelerated map, with precision tracking.
-
-    The even branch sheds one bit of precision; the odd branch sheds
-    v2(qn+d) bits.  Raises when the stored digits cannot determine the
-    branch or the halving count.
-    """
-    r, k = n.residue, n.precision
-    if r == 0:
-        raise ValuationIndeterminate(
-            f"residue is 0 at precision {k}; branch of the map is undetermined"
-        )
-    if r & 1 == 0:
-        return PadicInt(r >> 1, k - 1), Branch.EVEN, 1
-    t = (map_.q * r + map_.d) & ((1 << k) - 1)
-    if t == 0:
-        raise PrecisionError(
-            f"{map_.q}n{map_.d:+d} vanishes mod 2^{k}; halving count exceeds the working precision"
-        )
-    s = (t & -t).bit_length() - 1
-    return PadicInt(t >> s, k - s), Branch.ODD, s
-
-
 def iterate_cycle(p: ParityPattern, precision: int, map_: GeneralizedMap = COLLATZ) -> CycleTrace:
-    """Traverse the cycle solution once through its y odd phases.
+    """Solve the cycle equation once and traverse its solution through the
+    y odd phases.
 
-    Asserts, step by step, that each m_k is a unit, that the observed
-    halving count equals s_{k+1}, and finally that the orbit closed at
-    the surviving precision.  Total precision loss is exactly x, so the
-    caller must supply precision > x + 1.
+    The solved record, its C, n0 and verdict, is replayed by
+    `replay_record`, which raises DynamicsViolation unless every odd step
+    sheds exactly s_{k+1} bits and the orbit closes.  Each unit is then
+    read off the orbit's numerator: m_k = a_k / modulus, known modulo
+    2**(precision - sigma_k) once k odd steps have shed sigma_k bits.
+    Total precision loss is exactly x, so the caller must supply
+    precision > x + 1.
     """
     if precision <= p.x + 1:
         raise PrecisionError(
             f"precision {precision} too small: need > x + 1 = {p.x + 1} to close the cycle"
         )
-    m0 = ghost_cycle(p, precision, map_).n0
-    ms = [m0]
-    vals: list[int] = []
-    cur = m0
-    for k, expected in enumerate(p.steps()):
-        if not cur.is_unit:
-            raise DynamicsViolation(k, 0, cur.v2(), kind="unit")
-        cur, branch, s = t2_step(cur, map_)
-        assert branch is Branch.ODD
-        if s != expected:
-            raise DynamicsViolation(k, expected, s)
-        ms.append(cur)
-        vals.append(s)
-    final = precision - p.x
-    assert cur.precision == final, "halving budget must consume exactly x bits"
-    if not cur.agrees_with(m0):
-        raise DynamicsViolation(p.y, 0, None, kind="closure")
-    return CycleTrace(p, tuple(ms), tuple(vals), final)
+    g = ghost_cycle(p, precision, map_)
+    quotient = g.verdict.value if isinstance(g.verdict, IntegerCycle) else None
+    orbit = replay_record(map_.q, map_.d, p.x, p.sigma, g.constant, g.n0.residue, g.modulus,
+                          precision, quotient)
+    inv = _inverse_mod_pow2(g.modulus, precision)
+    m = tuple(PadicInt(a * inv, precision - s) for a, s in zip(orbit, (*p.sigma, p.x)))
+    return CycleTrace(g, m, p.steps(), precision - p.x)
 
 
 def replay_record(
     q: int, d: int, x: int, sigma: tuple[int, ...], c: int, n0: int, modulus: int, precision: int,
     quotient: int | None,
-) -> None:
-    """Check one scan record of the map qn + d by replaying its exact orbit.
+) -> list[int]:
+    """Check one scan record of the map qn + d by replaying its exact orbit,
+    and return that orbit's numerators [a_0, ..., a_y].
 
     The record's verdict comes first: an integer cycle's written quotient
     must satisfy quotient * modulus = C exactly, and a ghost (quotient
@@ -163,9 +136,11 @@ def replay_record(
         raise DynamicsViolation(0, 0, (c & -c).bit_length() - 1 if c else None, kind="unit")
     # Each step shifts first and then tests: bit 0 of a is bit e of t, and
     # a << e == t holds iff t's low e bits are zero, so together they say
-    # v2(t) = e and leave the next a odd.  The step index and the observed
-    # count are worked out only once a test has failed.
+    # that 2**e is the largest power of 2 dividing t and leave the next a
+    # odd.  The step index and the observed count are worked out only once
+    # a test has failed.
     a, dm, lo = c, d * modulus, sigma[0]
+    orbit = [a]
     for hi in (*sigma[1:], x):
         e = hi - lo
         t = q * a + dm
@@ -173,8 +148,10 @@ def replay_record(
         if not a & 1 or a << e != t:
             k = sigma.index(lo)  # sigma strictly increases: its entry names the step
             raise DynamicsViolation(k, e, (t & -t).bit_length() - 1 if t else None)
+        orbit.append(a)
         lo = hi
     if a != c:
         raise DynamicsViolation(y, 0, None, kind="closure")
     if sigma[0]:
         raise DynamicsViolation(0, 0, sigma[0], kind="pattern")
+    return orbit

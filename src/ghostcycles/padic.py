@@ -19,14 +19,6 @@ class PrecisionError(ValueError):
     """Precision below 1, or a request exceeding the known digits."""
 
 
-class ValuationIndeterminate(ValueError):
-    """v2 requested on an all-zero residue.
-
-    Every stored digit vanishes, so the true valuation is only known to
-    be >= the precision; there is no correct answer to return.
-    """
-
-
 class NotAUnit(ValueError):
     """Inversion requested for an even residue."""
 
@@ -67,18 +59,6 @@ class PadicInt(Frozen):
 
     def __neg__(self) -> "PadicInt":
         return PadicInt(-self.residue, self.precision)
-
-    def v2(self) -> int:
-        """2-adic valuation: index of the lowest set bit of the residue.
-
-        Exact whenever the residue is nonzero, since the lowest set bit
-        of a known digit cannot change under further refinement.
-        """
-        if self.residue == 0:
-            raise ValuationIndeterminate(
-                f"residue is 0 at precision {self.precision}; v2 is only known to be >= {self.precision}"
-            )
-        return (self.residue & -self.residue).bit_length() - 1
 
     def agrees_with(self, other: "PadicInt") -> bool:
         """True iff the residues agree modulo 2**min(precisions)."""

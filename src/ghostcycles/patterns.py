@@ -115,10 +115,10 @@ class ParityPattern(Frozen):
 
 
 class GeneralizedMap(Frozen):
-    """The map n -> (qn + d) / 2^v2(qn+d) on odd n: odd multiplier q >= 3
-    and odd nonzero offset d.  Odd q and d keep qn + d even on odd n and
-    2**x - q**y odd, so every pattern's cycle equation keeps its unique
-    2-adic solution."""
+    """The map n -> (qn + d) / 2^e on odd n, 2^e the largest power of 2
+    dividing qn + d: odd multiplier q >= 3 and odd nonzero offset d.  Odd
+    q and d keep qn + d even on odd n and 2**x - q**y odd, so every
+    pattern's cycle equation keeps its unique 2-adic solution."""
 
     __slots__ = ("q", "d")
 

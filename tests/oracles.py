@@ -3,14 +3,16 @@
 Each function here answers a question that some path of the package
 also answers, by an independent route, and no command runs it: the
 pointwise definition of D_y, integrality from the low bits of n0, the
-classical one-halving-per-step map, enumeration of patterns through
-`ParityPattern` itself, a pattern's parity word, and the JSON records
-of `scan`, `general` and `ghost --format json` as dicts.
+accelerated map stepped on truncated residues and the cycle trace it
+gives, the classical one-halving-per-step map, enumeration of patterns
+through `ParityPattern` itself, a pattern's parity word, and the JSON
+records of `scan`, `general` and `ghost --format json` as dicts.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from enum import Enum
 from itertools import combinations
 from typing import Any
 
@@ -20,10 +22,11 @@ from ghostcycles.cycle import (
     IntegerCycle,
     Verdict,
     cycle_constant,
+    ghost_cycle,
     modulus,
 )
 from ghostcycles.dynamics import CycleTrace, DynamicsViolation, iterate_cycle
-from ghostcycles.padic import PadicInt, invert_unit
+from ghostcycles.padic import PadicInt, PrecisionError, invert_unit
 from ghostcycles.patterns import (
     COLLATZ,
     Frozen,
@@ -82,6 +85,86 @@ def prefix_certificate(p: ParityPattern, k: int,
     if (1 << k) > bound:
         return IntegerCycle(r) if r * m == c else GHOST
     return Inconclusive()
+
+
+class ValuationIndeterminate(ValueError):
+    """v2 requested on an all-zero residue.
+
+    Every stored digit vanishes, so the true valuation is only known to
+    be >= the precision; there is no correct answer to return.
+    """
+
+
+def v2(a: PadicInt) -> int:
+    """2-adic valuation: index of the lowest set bit of the residue.
+
+    Exact whenever the residue is nonzero, since the lowest set bit of a
+    known digit cannot change under further refinement.
+    """
+    if a.residue == 0:
+        raise ValuationIndeterminate(
+            f"residue is 0 at precision {a.precision}; v2 is only known to be >= {a.precision}"
+        )
+    return (a.residue & -a.residue).bit_length() - 1
+
+
+class Branch(Enum):
+    EVEN = "even"
+    ODD = "odd"
+
+
+def t2_step(n: PadicInt, map_: GeneralizedMap = COLLATZ) -> tuple[PadicInt, Branch, int]:
+    """One application of the accelerated map, with precision tracking.
+
+    The even branch sheds one bit of precision; the odd branch sheds
+    v2(qn+d) bits.  Raises when the stored digits cannot determine the
+    branch or the halving count.
+    """
+    r, k = n.residue, n.precision
+    if r == 0:
+        raise ValuationIndeterminate(
+            f"residue is 0 at precision {k}; branch of the map is undetermined"
+        )
+    if r & 1 == 0:
+        return PadicInt(r >> 1, k - 1), Branch.EVEN, 1
+    t = (map_.q * r + map_.d) & ((1 << k) - 1)
+    if t == 0:
+        raise PrecisionError(
+            f"{map_.q}n{map_.d:+d} vanishes mod 2^{k}; halving count exceeds the working precision"
+        )
+    s = (t & -t).bit_length() - 1
+    return PadicInt(t >> s, k - s), Branch.ODD, s
+
+
+def trace_cycle(p: ParityPattern, precision: int, map_: GeneralizedMap = COLLATZ) -> CycleTrace:
+    """The trace that `iterate_cycle` returns, built step by step on
+    truncated residues: n0 from `ghost_cycle`, then y applications of
+    `t2_step`, each of which must take the odd branch from a unit and
+    shed the pattern's own halving count, and finally closure at the
+    surviving precision.  Raises DynamicsViolation on a mismatch.
+    """
+    if precision <= p.x + 1:
+        raise PrecisionError(
+            f"precision {precision} too small: need > x + 1 = {p.x + 1} to close the cycle"
+        )
+    g = ghost_cycle(p, precision, map_)
+    ms = [g.n0]
+    vals: list[int] = []
+    cur = g.n0
+    for k, expected in enumerate(p.steps()):
+        if not cur.is_unit:
+            raise DynamicsViolation(k, 0, v2(cur), kind="unit")
+        cur, branch, s = t2_step(cur, map_)
+        assert branch is Branch.ODD
+        if s != expected:
+            raise DynamicsViolation(k, expected, s)
+        ms.append(cur)
+        vals.append(s)
+    final = precision - p.x
+    assert cur.precision == final, "halving budget must consume exactly x bits"
+    if not cur.agrees_with(g.n0):
+        raise DynamicsViolation(p.y, 0, None, kind="closure")
+    return CycleTrace(g, tuple(ms), tuple(vals), final)
 
 
 def verify_periodicity(p: ParityPattern, precision: int, map_: GeneralizedMap = COLLATZ) -> bool:

@@ -18,7 +18,6 @@ from hypothesis import example, given, settings, strategies as st
 from ghostcycles import _kernel_py, cli, dynamics
 from ghostcycles.cli import main
 from ghostcycles.cycle import ghost_cycle
-from ghostcycles.dynamics import iterate_cycle
 from ghostcycles.padic import _inverse_mod_pow2
 from ghostcycles.patterns import (
     COLLATZ,
@@ -29,7 +28,7 @@ from ghostcycles.patterns import (
 )
 from ghostcycles.semilinear import nonsemilinearity_witness
 
-from oracles import enumerate_by_length, ghost_record, trace_record
+from oracles import enumerate_by_length, ghost_record, trace_cycle, trace_record
 
 
 def run(argv, capsys):
@@ -109,8 +108,33 @@ def test_ghost_json_is_json_dumps_of_the_oracle_records(case):
                                  "--precision", str(precision), "--format", "json"])
     assert code == 0, err
     payload = {"ghost": ghost_record(ghost_cycle(p, precision, m), m),
-               "trace": trace_record(iterate_cycle(p, precision, m), m)}
+               "trace": trace_record(trace_cycle(p, precision, m), m)}
     assert out == json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_ghost_solves_the_cycle_once(fmt, capsys, monkeypatch):
+    # a stand-in counts the solves through dynamics.ghost_cycle and through
+    # any other module's binding of ghost_cycle; the hooked
+    # cli.iterate_cycle is called once
+    calls = []
+
+    def counted(name, fn):
+        def stand_in(*args):
+            calls.append(name)
+            return fn(*args)
+        return stand_in
+
+    solve = counted("solve", ghost_cycle)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ghostcycles" and getattr(module, "ghost_cycle", None) is ghost_cycle:
+            monkeypatch.setattr(module, "ghost_cycle", solve)
+    assert dynamics.ghost_cycle is solve
+    monkeypatch.setattr(cli, "iterate_cycle", counted("trace", cli.iterate_cycle))
+    code, out, _ = run(["ghost", "--x", "4", "--y", "2", "--sigma", "0,1", "--format", fmt],
+                       capsys)
+    assert code == 0 and out
+    assert calls == ["trace", "solve"]
 
 
 @settings(max_examples=40, deadline=None)
@@ -126,9 +150,8 @@ def test_witness_json_is_json_dumps_of_its_dict(y, bound):
 
 
 def test_ghost_rejects_a_precision_too_small_before_it_solves(capsys, monkeypatch):
-    # with both solvers gone any solve fails; solving x = 99999999999 first
+    # with the solver gone any solve fails; solving x = 99999999999 first
     # ran out of memory and exited 3
-    monkeypatch.setattr(cli, "ghost_cycle", None)
     monkeypatch.setattr(dynamics, "ghost_cycle", None)
     code, out, err = run(["ghost", "--x", "99999999999", "--y", "1", "--sigma", "0",
                           "--precision", "2"], capsys)
@@ -505,7 +528,7 @@ def test_general_single_pattern_trace_uses_the_maps_admissibility(capsys):
 
 
 def test_general_single_pattern_rejects_verify_sample(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(cli, "ghost_cycle", None)  # any work would fail on the missing name
+    monkeypatch.setattr(cli, "iterate_cycle", None)  # any work would fail on the missing name
     out_path = tmp_path / "out"
     code, out, err = run(["ghost", "--map", "5,1", "--x", "7", "--y", "3", "--sigma", "0,1,2",
                           "--verify-sample", "5", "--out", str(out_path)], capsys)
@@ -592,7 +615,7 @@ def test_witness_text_and_json(capsys):
         (["fibers", "--y", "1", "--x-min", "2", "--x-max", "3", "--format", "text"],
          "fiber_period_exact"),
         (["witness", "--y", "1", "--bound", "10", "--format", "csv"], "nonsemilinearity_witness"),
-        (["ghost", "--x", "4", "--y", "2", "--sigma", "0,1", "--format", "csv"], "ghost_cycle"),
+        (["ghost", "--x", "4", "--y", "2", "--sigma", "0,1", "--format", "csv"], "iterate_cycle"),
     ],
     ids=["fibers-json", "fibers-text", "witness-csv", "ghost-csv"],
 )
@@ -624,7 +647,7 @@ def test_help_lists_exactly_the_flags_the_command_reads(command, flags, capsys):
 
 
 _COMMANDS = {  # each command's argv and the worker that any of its work would call
-    "ghost": (["ghost", "--x", "4", "--y", "2", "--sigma", "0,1"], "ghost_cycle"),
+    "ghost": (["ghost", "--x", "4", "--y", "2", "--sigma", "0,1"], "iterate_cycle"),
     "scan": (["scan", "--ell-max", "4"], "_cell_worker"),
     "general": (["general", "--map", "5,1", "--ell-max", "4"], "_cell_worker"),
     "fibers": (["fibers", "--y", "1", "--x-min", "2", "--x-max", "3"], "fiber_period_exact"),

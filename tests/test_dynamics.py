@@ -2,23 +2,26 @@
 integer oracle."""
 
 import random
-import types
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ghostcycles.cycle import IntegerCycle, ghost_cycle, integrality_test
-from ghostcycles.dynamics import Branch, DynamicsViolation, iterate_cycle, replay_record, t2_step
-from ghostcycles.padic import (
-    PadicInt,
-    PrecisionError,
-    ValuationIndeterminate,
-    _inverse_mod_pow2,
-)
+from ghostcycles.cycle import GHOST, GhostCycle, IntegerCycle, ghost_cycle, integrality_test
+from ghostcycles.dynamics import DynamicsViolation, iterate_cycle, replay_record
+from ghostcycles.padic import PadicInt, PrecisionError, _inverse_mod_pow2
 from ghostcycles.patterns import GeneralizedMap, ParityPattern, is_admissible
 
-from oracles import enumerate_by_length, iterate_integer, parity_word, verify_periodicity
+from oracles import (
+    Branch,
+    ValuationIndeterminate,
+    enumerate_by_length,
+    iterate_integer,
+    parity_word,
+    t2_step,
+    trace_cycle,
+    verify_periodicity,
+)
 
 
 def test_t2_step_examples():
@@ -57,6 +60,33 @@ def test_iterate_cycle_examples():
 def test_iterate_cycle_needs_headroom():
     with pytest.raises(PrecisionError):
         iterate_cycle(ParityPattern(4, 2, (0, 1)), 5)  # precision must exceed x+1
+
+
+@st.composite
+def _trace_inputs(draw):
+    """A map, a pattern up to ell 40 and a precision from x + 2 up to
+    10,007 bits."""
+    q, d = draw(st.sampled_from([(3, 1), (5, 1), (3, -1), (7, 3)])
+                | st.tuples(st.sampled_from([3, 5, 7, 9]), st.integers(-15, 15).filter(lambda v: v % 2)))
+    x = draw(st.integers(1, 39))
+    y = draw(st.integers(1, min(x, 40 - x)))
+    sigma = (0, *sorted(draw(st.permutations(range(1, x)))[:y - 1]))
+    precision = draw(st.sampled_from([x + 2, 64, x + 64, 10_007]))
+    return GeneralizedMap(q, d), ParityPattern(x, y, sigma), precision
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trace_inputs())
+@example((GeneralizedMap(5, 1), ParityPattern(7, 3, (0, 1, 2)), 10_007))  # through 13
+@example((GeneralizedMap(3, -1), ParityPattern(1, 1, (0,)), 3))  # the fixed point 1, at x + 2
+def test_iterate_cycle_equals_the_step_by_step_trace(case):
+    # the units read off the exact orbit's numerators, the halving counts
+    # and the precision left equal those of t2_step on truncated residues
+    m, p, precision = case
+    t, oracle = iterate_cycle(p, precision, m), trace_cycle(p, precision, m)
+    assert t.m == oracle.m
+    assert t.step_valuations == oracle.step_valuations
+    assert t.final_precision == oracle.final_precision
 
 
 def test_trace_invariants_on_examples():
@@ -169,13 +199,13 @@ def test_replay_record_names_the_first_step_another_pattern_misses(q, d):
 
 @pytest.mark.parametrize("q,d", [(3, 1), (5, 1), (3, -1)])
 def test_replay_record_accepts_what_the_traced_replay_closes(q, d):
-    # the oracle: iterate_cycle traces each orbit from its own n0 with
-    # PadicInt; the int-only replay must accept a record carrying exactly
-    # that n0, and see the same halving counts
+    # the oracle: trace_cycle steps each orbit from its own n0 with
+    # t2_step on truncated residues; the int-only replay must accept a
+    # record carrying exactly that n0, and see the same halving counts
     m = GeneralizedMap(q, d)
     for p, precision, c, n0, modulus, quo in _replay_cases(q, d, 12):
         depth = max(precision, p.x + 2)
-        trace = iterate_cycle(p, depth, m)
+        trace = trace_cycle(p, depth, m)
         assert trace.closed and trace.step_valuations == p.steps()
         assert trace.m[0].residue & ((1 << precision) - 1) == n0
         replay_record(q, d, p.x, p.sigma, c, n0, modulus, precision, quo)
@@ -392,20 +422,36 @@ def test_verify_periodicity_examples():
     assert verify_periodicity(ParityPattern(5, 2, (0, 3)), 64)
 
 
+def _solved_for(c, g):
+    """g with its C replaced by c, and n0 and the verdict solved from c, so
+    that the record agrees with itself."""
+    precision = g.n0.precision
+    quo, rem = divmod(c, g.modulus)
+    n0 = PadicInt(c * _inverse_mod_pow2(g.modulus, precision), precision)
+    return GhostCycle(g.pattern, c, g.modulus, n0, GHOST if rem else IntegerCycle(quo))
+
+
 @pytest.mark.parametrize("perturb,violation", [
-    (lambda n0, p: n0 ^ 1, ("unit", 0, 0, 6)),  # an even start, 2^6 || n0 ^ 1 here
-    (lambda n0, p: n0 ^ 2, ("valuation", 0, 2, 1)),  # the first odd step sheds one bit too few
-    # the right halving counts all the way round, but bit x + y is off
-    (lambda n0, p: n0 + (1 << (p.x + p.y)), ("closure", 3, 0, None)),
+    # C = 37 made even, so 2^2 || C ^ 1 = 36
+    (lambda g: _solved_for(g.constant ^ 1, g), ("unit", 0, 0, 2)),
+    # the first odd step sheds one bit too few
+    (lambda g: _solved_for(g.constant ^ 2, g), ("valuation", 0, 2, 1)),
+    # the right halving counts all the way round, but C is off by m * 2^(x+y)
+    (lambda g: _solved_for(g.constant + (g.modulus << (g.pattern.x + g.pattern.y)), g),
+     ("closure", 3, 0, None)),
+    # n0 alone is off, so (n0 ^ 1) * 101 = 4294967232 != 37 mod 2^32
+    (lambda g: GhostCycle(g.pattern, g.constant, g.modulus, PadicInt(g.n0.residue ^ 1, 32),
+                          g.verdict),
+     ("closure", 3, 37, 4294967232)),
 ])
 def test_iterate_cycle_rejects_a_wrong_start(monkeypatch, perturb, violation):
     from ghostcycles import dynamics
 
     p = ParityPattern(7, 3, (0, 2, 4))
+    assert (ghost_cycle(p, 32).constant, ghost_cycle(p, 32).modulus) == (37, 101)
 
     def wrong(p, precision, map_):
-        g = ghost_cycle(p, precision, map_)
-        return types.SimpleNamespace(n0=PadicInt(perturb(g.n0.residue, p), precision))
+        return perturb(ghost_cycle(p, precision, map_))
 
     monkeypatch.setattr(dynamics, "ghost_cycle", wrong)
     with pytest.raises(DynamicsViolation) as caught:
