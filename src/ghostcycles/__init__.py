@@ -15,11 +15,11 @@ __version__ = "0.1.0"
 # loads no submodule: a name is imported on first use (PEP 562), so a
 # CLI command compiles only the modules it runs.
 _SOURCE = {
-    **dict.fromkeys(("PadicInt", "invert_unit", "PrecisionError", "NotAUnit"), "padic"),
+    **dict.fromkeys(("PadicInt", "PrecisionError"), "padic"),
     **dict.fromkeys(("ParityPattern", "PatternError", "is_admissible", "GeneralizedMap",
                      "COLLATZ", "length_cells"), "patterns"),
-    **dict.fromkeys(("IntegerCycle", "Ghost", "GHOST", "GhostCycle", "cycle_constant", "modulus",
-                     "integrality_test", "ghost_cycle"), "cycle"),
+    **dict.fromkeys(("GhostCycle", "cycle_constant", "modulus", "integrality_test",
+                     "ghost_cycle"), "cycle"),
     **dict.fromkeys(("CycleTrace", "DynamicsViolation", "iterate_cycle"), "dynamics"),
     **dict.fromkeys(("FiberPeriodRecord", "fiber_period_exact", "fiber_period_bruteforce",
                      "nonsemilinearity_witness"), "semilinear"),

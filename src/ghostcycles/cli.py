@@ -30,7 +30,6 @@ from contextlib import nullcontext
 from itertools import chain
 from math import comb
 
-from .cycle import IntegerCycle
 from .dynamics import DynamicsViolation, iterate_cycle, replay_record
 from .padic import _inverse_mod_pow2
 from .patterns import (
@@ -156,10 +155,8 @@ def _render_ghost_text(g, t, admissible, map_) -> list[str]:
     lines.append(head + (" admissible" if admissible else " inadmissible"))
     lines.append(f"C = {g.constant}")
     lines.append(f"modulus = {g.modulus}")
-    if isinstance(g.verdict, IntegerCycle):
-        lines.append(f"verdict: integer-cycle n = {g.verdict.value}")
-    else:
-        lines.append("verdict: ghost")
+    lines.append("verdict: ghost" if g.quotient is None
+                 else f"verdict: integer-cycle n = {g.quotient}")
     low = p.x + 1
     lines.append(f"n0 mod {1 << low} = {g.n0.residue & ((1 << low) - 1)}")
     lines.append(f"n0 = {g.n0}")
@@ -182,8 +179,7 @@ def cmd_ghost(args) -> int:
     head, close, n0_at, ghost, integer, after = _record_format(
         p.x, p.y, map_, g.modulus, precision, admissible)
     pattern = f"{head}{','.join(map(str, p.sigma))}{close}"
-    verdict = (f"{integer}{g.verdict.value}{after}" if isinstance(g.verdict, IntegerCycle)
-               else ghost)
+    verdict = ghost if g.quotient is None else f"{integer}{g.quotient}{after}"
     rec = f'{pattern},"C":"{g.constant}{n0_at}{g.n0.residue}{verdict}'
     ms = ",".join(f'{{"residue":"{m.residue}","precision":{m.precision}}}' for m in t.m)
     valuations = ",".join(map(str, t.step_valuations))

@@ -19,11 +19,12 @@ n0 = C/m exactly on the numerators a_k = m * n_k, which needs no
 precision and pins C exactly: Lagarias's correspondence between the
 rational cycles of 3x + 1 with denominator m and the integer cycles of
 3x + m (Acta Arith. 56, 1990).  The loop serves both callers.  A scan
-replays each sampled record's own C, n0 and verdict, so that it verifies
-what it writes rather than a value it re-solves.  `iterate_cycle`, which
-`ghost` runs, replays the record it has just solved and reads each unit
-m_k off a_k.  The tests hold both to the step-by-step traversal on
-truncated residues (tests/oracles.py).
+replays each sampled record's own C, n0 and quotient (C // m, or None
+for a ghost), so that it verifies what it writes rather than a value it
+re-solves.  `iterate_cycle`, which `ghost` runs, replays the
+`GhostCycle` it has just solved, whose quotient is the same int or
+None, and reads each unit m_k off a_k.  The tests hold both to the
+step-by-step traversal on truncated residues (tests/oracles.py).
 
 The classical single-step integer map (one halving per step) is a
 cross-check oracle of the tests (tests/oracles.py), kept apart: mixing
@@ -33,7 +34,7 @@ counts halvings one at a time.
 
 from __future__ import annotations
 
-from .cycle import GhostCycle, IntegerCycle, ghost_cycle
+from .cycle import GhostCycle, ghost_cycle
 from .padic import PadicInt, PrecisionError, _inverse_mod_pow2
 from .patterns import COLLATZ, Frozen, GeneralizedMap, ParityPattern, _set
 
@@ -79,7 +80,7 @@ def iterate_cycle(p: ParityPattern, precision: int, map_: GeneralizedMap = COLLA
     """Solve the cycle equation once and traverse its solution through the
     y odd phases.
 
-    The solved record, its C, n0 and verdict, is replayed by
+    The solved record, its C, n0 and quotient, is replayed by
     `replay_record`, which raises DynamicsViolation unless every odd step
     sheds exactly s_{k+1} bits and the orbit closes.  Each unit is then
     read off the orbit's numerator: m_k = a_k / modulus, known modulo
@@ -92,9 +93,8 @@ def iterate_cycle(p: ParityPattern, precision: int, map_: GeneralizedMap = COLLA
             f"precision {precision} too small: need > x + 1 = {p.x + 1} to close the cycle"
         )
     g = ghost_cycle(p, precision, map_)
-    quotient = g.verdict.value if isinstance(g.verdict, IntegerCycle) else None
     orbit = replay_record(map_.q, map_.d, p.x, p.sigma, g.constant, g.n0.residue, g.modulus,
-                          precision, quotient)
+                          precision, g.quotient)
     inv = _inverse_mod_pow2(g.modulus, precision)
     m = tuple(PadicInt(a * inv, precision - s) for a, s in zip(orbit, (*p.sigma, p.x)))
     return CycleTrace(g, m, p.steps(), precision - p.x)

@@ -6,8 +6,9 @@ Ring operations are exact modulo the smaller operand precision, so any
 precision loss (for instance from dividing out powers of 2 during map
 iteration) is tracked per value instead of through a global setting.
 
-Units are exactly the odd residues.  Inversion lifts the 1-bit inverse
-one doubling at a time, so it costs O(log k) big-int multiplies.
+Units are exactly the odd residues.  `_inverse_mod_pow2`, which every
+solve of n0 = C / m uses, lifts the 1-bit inverse of an odd int one
+doubling at a time, so it costs O(log k) big-int multiplies.
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ from .patterns import Frozen, _set
 
 class PrecisionError(ValueError):
     """Precision below 1, or a request exceeding the known digits."""
-
-
-class NotAUnit(ValueError):
-    """Inversion requested for an even residue."""
 
 
 class PadicInt(Frozen):
@@ -37,10 +34,6 @@ class PadicInt(Frozen):
 
     def __str__(self) -> str:
         return f"{self.residue} + O(2^{self.precision})"
-
-    @property
-    def is_unit(self) -> bool:
-        return bool(self.residue & 1)
 
     def __add__(self, other: "PadicInt") -> "PadicInt":
         if not isinstance(other, PadicInt):
@@ -75,10 +68,3 @@ def _inverse_mod_pow2(a: int, bits: int) -> int:
         mask = (1 << known) - 1
         inv = (inv * (2 - a * inv)) & mask
     return inv
-
-
-def invert_unit(u: PadicInt) -> PadicInt:
-    """Multiplicative inverse of a unit, exact at the unit's precision."""
-    if not u.is_unit:
-        raise NotAUnit(f"residue {u.residue} is even and has no inverse")
-    return PadicInt(_inverse_mod_pow2(u.residue, u.precision), u.precision)

@@ -16,17 +16,9 @@ from enum import Enum
 from itertools import combinations
 from typing import Any
 
-from ghostcycles.cycle import (
-    GHOST,
-    GhostCycle,
-    IntegerCycle,
-    Verdict,
-    cycle_constant,
-    ghost_cycle,
-    modulus,
-)
+from ghostcycles.cycle import GhostCycle, cycle_constant, ghost_cycle, modulus
 from ghostcycles.dynamics import CycleTrace, DynamicsViolation, iterate_cycle
-from ghostcycles.padic import PadicInt, PrecisionError, invert_unit
+from ghostcycles.padic import PadicInt, PrecisionError
 from ghostcycles.patterns import (
     COLLATZ,
     Frozen,
@@ -62,8 +54,9 @@ class InadmissiblePattern(ValueError):
 
 
 def prefix_certificate(p: ParityPattern, k: int,
-                       map_: GeneralizedMap = COLLATZ) -> Verdict | Inconclusive:
-    """Decide integrality from the low k bits of n0 when they suffice.
+                       map_: GeneralizedMap = COLLATZ) -> int | None | Inconclusive:
+    """Decide integrality from the low k bits of n0 when they suffice: the
+    quotient C // m, None for a ghost, or Inconclusive().
 
     For an admissible pattern C and the modulus have the same sign, so
     any integer solution C / modulus is positive and bounded by
@@ -81,9 +74,9 @@ def prefix_certificate(p: ParityPattern, k: int,
     c = cycle_constant(p, map_)
     m = modulus(p, map_)
     bound = -(-c // m)  # ceil(C / m) >= 1
-    r = (invert_unit(PadicInt(m, k)) * PadicInt(c, k)).residue
+    r = c * pow(m, -1, 1 << k) % (1 << k)  # the low k bits of n0, by Python's own inverse
     if (1 << k) > bound:
-        return IntegerCycle(r) if r * m == c else GHOST
+        return r if r * m == c else None
     return Inconclusive()
 
 
@@ -152,7 +145,7 @@ def trace_cycle(p: ParityPattern, precision: int, map_: GeneralizedMap = COLLATZ
     vals: list[int] = []
     cur = g.n0
     for k, expected in enumerate(p.steps()):
-        if not cur.is_unit:
+        if not cur.residue & 1:
             raise DynamicsViolation(k, 0, v2(cur), kind="unit")
         cur, branch, s = t2_step(cur, map_)
         assert branch is Branch.ODD
@@ -263,11 +256,11 @@ def ghost_record(g: GhostCycle, map_: GeneralizedMap = COLLATZ) -> dict[str, Any
         "modulus": str(g.modulus),
         "n0": padic_record(g.n0),
     }
-    if isinstance(g.verdict, IntegerCycle):
-        rec["verdict"] = "integer-cycle"
-        rec["integer_value"] = str(g.verdict.value)
-    else:
+    if g.quotient is None:
         rec["verdict"] = "ghost"
+    else:
+        rec["verdict"] = "integer-cycle"
+        rec["integer_value"] = str(g.quotient)
     if map_ != COLLATZ:
         rec["q"] = map_.q
         rec["d"] = map_.d

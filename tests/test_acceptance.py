@@ -7,16 +7,9 @@ import time
 from itertools import combinations
 
 from ghostcycles import _kernel_py
-from ghostcycles.cycle import (
-    GHOST,
-    IntegerCycle,
-    cycle_constant,
-    ghost_cycle,
-    integrality_test,
-    modulus,
-)
+from ghostcycles.cycle import cycle_constant, ghost_cycle, integrality_test, modulus
 from ghostcycles.dynamics import iterate_cycle
-from ghostcycles.padic import PadicInt, invert_unit
+from ghostcycles.padic import PadicInt, _inverse_mod_pow2
 from ghostcycles.patterns import GeneralizedMap, ParityPattern, length_cells
 from ghostcycles.semilinear import (
     fiber_period_bruteforce,
@@ -42,7 +35,7 @@ def test_criterion_1_trivial_cycle_identity():
     assert cycle_constant(p) == 1
     assert modulus(p) == 1
     assert g.n0.residue == 1
-    assert g.verdict == IntegerCycle(1)
+    assert g.quotient == 1
     assert iterate_integer(1) == [1, 4, 2, 1]  # the 3-step cycle
     report("1 trivial-cycle-identity", time.perf_counter() - start, 0.05)
 
@@ -52,7 +45,7 @@ def test_criterion_2_ghost_example():
     p = ParityPattern(4, 2, (0, 1))
     g = ghost_cycle(p, 64)
     assert g.n0.residue % 32 == 19
-    assert g.verdict == GHOST
+    assert g.quotient is None
     assert verify_periodicity(p, 64)
     assert iterate_cycle(p, 64).step_valuations == (1, 3)
     report("2 ghost-example", time.perf_counter() - start, 1)
@@ -136,8 +129,8 @@ def test_criterion_7_five_n_plus_one_ground_truth():
         for mid in combinations(range(1, x), y - 1):
             p = ParityPattern(x, y, (0,) + mid)
             v = integrality_test(p, five)
-            if isinstance(v, IntegerCycle):
-                found[(x, y, p.sigma)] = v.value
+            if v is not None:
+                found[(x, y, p.sigma)] = v
     assert found[(5, 2, (0, 1))] == 1
     assert found[(7, 3, (0, 1, 2))] == 13
     orbit1 = iterate_integer(1, map_=five)
@@ -161,12 +154,12 @@ def test_criterion_8_padic_algebra_suite():
     for k in (4, 8, 16):  # exhaustive inversion
         for r in range(1, 1 << k, 2):
             u = PadicInt(r, k)
-            assert (u * invert_unit(u)).residue == 1
+            assert (u * PadicInt(_inverse_mod_pow2(r, k), k)).residue == 1
 
     for k in (64, 256):  # randomized inversion against the pow oracle
         for _ in range(200):
             r = rng.getrandbits(k) | 1
-            assert invert_unit(PadicInt(r, k)).residue == pow(r, -1, 1 << k)
+            assert _inverse_mod_pow2(r, k) == pow(r, -1, 1 << k)
 
     for _ in range(300):  # v2 additivity where exact
         i, j = rng.randint(0, 20), rng.randint(0, 20)

